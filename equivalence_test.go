@@ -12,6 +12,8 @@ import (
 // the early-stop + decode-cache work: on every seed benchmark, at every
 // layer, for one and several workers, the accelerated engines must
 // produce tallies bit-identical to the run-to-completion engines. The
+// micro layer covers the RF and two cache structures, where the
+// dead-line pre-check classifies most faults without running. The
 // per-layer sample counts are small — the point is breadth (every
 // benchmark exercises different convergence and decode patterns), not
 // statistical depth.
@@ -45,13 +47,15 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 			layer := func(sys *System, name string, workers int) results.Tally {
 				sys.Workers = workers
 				switch name {
-				case "micro":
+				case "micro/RF", "micro/L1d", "micro/L2":
 					cp, err := sys.MicroCampaign(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					cp.Workers = workers
-					return results.TallyOf(cp.Records(micro.StructRF, nMicro, 0, seed, nil))
+					st := map[string]micro.Structure{"micro/RF": micro.StructRF,
+						"micro/L1d": micro.StructL1D, "micro/L2": micro.StructL2}[name]
+					return results.TallyOf(cp.Records(st, nMicro, 0, seed, nil))
 				case "arch":
 					cp, err := sys.ArchCampaign()
 					if err != nil {
@@ -68,7 +72,7 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 					return results.TallyOf(cp.Records(nSoft, 0, seed, nil))
 				}
 			}
-			for _, name := range []string{"micro", "arch", "soft"} {
+			for _, name := range []string{"micro/RF", "micro/L1d", "micro/L2", "arch", "soft"} {
 				ref := layer(base, name, 1)
 				for _, workers := range []int{1, 3} {
 					if got := layer(accel, name, workers); got != ref {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"vulnstack/internal/campaign"
 	"vulnstack/internal/ckpt"
@@ -150,6 +151,11 @@ type Campaign struct {
 	// Resumed reports the campaign was prepared from a persisted chain:
 	// zero golden-run instructions were executed by Prepare.
 	Resumed bool
+	// firstValid holds, per cache structure and line, the first
+	// checkpoint at which the golden run has the line valid (chain.Len()
+	// if none does). Empty when the chain shows a line going invalid
+	// again, which would break the monotonicity dead relies on.
+	firstValid [micro.NumStructures][]int32
 }
 
 // Chain exposes the campaign's checkpoint chain (for persistence and
@@ -223,6 +229,7 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int, maxCycles uint64) 
 		capture()
 	}
 	cp.chain.Finish()
+	cp.firstValid = firstValidLines(cp.chain, c2.ValidIndex())
 	return cp, nil
 }
 
@@ -256,14 +263,87 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 		return nil, fmt.Errorf("inject: chain boot state: %w", err)
 	}
 	cp := &Campaign{
-		Img:     img,
-		Cfg:     cfg,
-		Golden:  g,
-		chain:   ch,
-		Resumed: true,
+		Img:        img,
+		Cfg:        cfg,
+		Golden:     g,
+		chain:      ch,
+		Resumed:    true,
+		firstValid: firstValidLines(ch, trial.ValidIndex()),
 	}
 	cp.Limit = 3*cp.Golden.Cycles + 50000
 	return cp, nil
+}
+
+// cacheStructs are the structures whose entries are cache lines.
+var cacheStructs = [...]micro.Structure{micro.StructL1I, micro.StructL1D, micro.StructL2}
+
+// firstValidLines builds the campaign's first-valid-checkpoint table
+// with one delta-walk of the chain, reading each line's valid flag
+// straight from the checkpoint blobs (no DecodeState). It returns an
+// empty table if any line is valid at one checkpoint and invalid at a
+// later one, or if a blob does not hold the flags x locates.
+func firstValidLines(ch *ckpt.Chain, x micro.ValidIndex) (tab [micro.NumStructures][]int32) {
+	n := int32(ch.Len())
+	for _, s := range cacheStructs {
+		first := make([]int32, x.Lines(s))
+		for i := range first {
+			first[i] = n
+		}
+		tab[s] = first
+	}
+	var blob []byte
+	for i := int32(0); i < n; i++ {
+		blob = ch.StateAt(int(i), blob, int(i)-1)
+		for _, s := range cacheStructs {
+			first := tab[s]
+			for line := range first {
+				valid, ok := x.LineValid(blob, s, line)
+				switch {
+				case !ok, !valid && first[line] < i:
+					return [micro.NumStructures][]int32{}
+				case valid && first[line] > i:
+					first[line] = i
+				}
+			}
+		}
+	}
+	return tab
+}
+
+// dead reports that f provably flips a bit of a cache line that is
+// invalid at the injection cycle, other than the line's valid bit: the
+// flip lands with Hit=false (micro.cache.flipBit), so its record is
+// Masked with Live=false and nothing else set, exactly what classify
+// returns after restoring and simulating to f.Cycle.
+//
+// Soundness: the worker arena's lead-in from a checkpoint is the
+// golden run, one Step per cycle, and in a fault-free run line validity
+// is monotone — refill only sets valid, nothing else clears it (flipBit
+// runs only under injection; flushAll only cleans). So with j the first
+// checkpoint at or after f.Cycle, a line still invalid at j was invalid
+// at f.Cycle. Faults past the last checkpoint, valid-bit flips and
+// lines filled by j are left to simulation. The test is part of the
+// accelerated engine: NoEarlyStop, the run-to-completion reference,
+// turns it off.
+func (cp *Campaign) dead(f Fault) bool {
+	first := cp.firstValid[f.Struct]
+	if cp.NoEarlyStop || first == nil {
+		return false
+	}
+	if c, _ := cp.Cfg.Cache(f.Struct); f.Bit == c.ValidBit() {
+		return false
+	}
+	j := sort.Search(cp.chain.Len(), func(i int) bool { return cp.chain.Coord(i) >= f.Cycle })
+	return j < cp.chain.Len() && int32(j) < first[f.Entry]
+}
+
+// inject runs one fault on worker w's arena (restoring checkpoint g)
+// unless dead classifies it first, in which case no arena is touched.
+func (cp *Campaign) inject(w *worker, f Fault, g int) Result {
+	if cp.dead(f) {
+		return Result{Fault: f, Outcome: Masked}
+	}
+	return cp.classify(cp.coreFor(w, f.Cycle, g), f, g, w)
 }
 
 // worker is the reusable per-worker machine arena: one core restored in
@@ -328,9 +408,7 @@ func (cp *Campaign) Sample(r *rand.Rand, s micro.Structure) Fault {
 // Run performs one injection and classifies its effect, building a
 // throwaway arena; campaigns use the pooled worker path in RunCampaign.
 func (cp *Campaign) Run(f Fault) Result {
-	w := &worker{src: -1}
-	g := cp.chain.Find(f.Cycle)
-	return cp.classify(cp.coreFor(w, f.Cycle, g), f, g, w)
+	return cp.inject(&worker{src: -1}, f, cp.chain.Find(f.Cycle))
 }
 
 // classify injects f into a machine already advanced to f.Cycle
@@ -471,7 +549,7 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r R
 		func() *worker { return &worker{src: -1} },
 		func(w *worker, j campaign.Job) Record {
 			f := faults[j.Index]
-			rec := cp.classify(cp.coreFor(w, f.Cycle, j.Group), f, j.Group, w).Record()
+			rec := cp.inject(w, f, j.Group).Record()
 			rec.Index = base + j.Index
 			return rec
 		},

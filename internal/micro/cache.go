@@ -408,7 +408,7 @@ func (c *cache) flipBit(set, way, bit int) FlipResult {
 			return FlipResult{Hit: true, StaleAddr: old, StaleLen: c.cfg.LineBytes}
 		}
 		return FlipResult{Hit: true}
-	case bit == dataBits+tagBits: // valid
+	case bit == c.cfg.ValidBit():
 		was := l.valid
 		l.valid = !l.valid
 		if was {

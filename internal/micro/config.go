@@ -34,6 +34,10 @@ func (c CacheConfig) TagBits() int {
 // BitsPerLine counts injectable bits per line: tag + data + valid + dirty.
 func (c CacheConfig) BitsPerLine() int { return c.TagBits() + 8*c.LineBytes + 2 }
 
+// ValidBit is the index of the valid bit in a line's injectable bits
+// (data, then tag, then valid, then dirty; see flipBit).
+func (c CacheConfig) ValidBit() int { return 8*c.LineBytes + c.TagBits() }
+
 // Bits counts the total injectable bits of the cache.
 func (c CacheConfig) Bits() int { return c.Lines() * c.BitsPerLine() }
 
@@ -190,14 +194,25 @@ func (cfg *Config) Bits(s Structure) int {
 	case StructLSQ:
 		// Each entry holds an address and a data word.
 		return (cfg.LQSize + cfg.SQSize) * 2 * x
-	case StructL1I:
-		return cfg.L1I.Bits()
-	case StructL1D:
-		return cfg.L1D.Bits()
-	case StructL2:
-		return cfg.L2.Bits()
+	}
+	if c, ok := cfg.Cache(s); ok {
+		return c.Bits()
 	}
 	return 0
+}
+
+// Cache returns the geometry of cache structure s; ok is false (and
+// the geometry zero) for the non-cache structures.
+func (cfg *Config) Cache(s Structure) (c CacheConfig, ok bool) {
+	switch s {
+	case StructL1I:
+		return cfg.L1I, true
+	case StructL1D:
+		return cfg.L1D, true
+	case StructL2:
+		return cfg.L2, true
+	}
+	return CacheConfig{}, false
 }
 
 // TotalBits sums the injectable bits of all five structures.

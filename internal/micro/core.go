@@ -106,14 +106,14 @@ type robe struct {
 	isCtl      bool
 
 	// Taint bookkeeping.
-	tainted     bool // consumed corrupted data
-	fetchTaint  bool // instruction encoding corrupted
-	fetchWI     bool // corruption includes operation-field bits
-	lsqAddrT    bool
-	lsqDataT    bool
-	storeDataT  bool
-	doneCycle   uint64
-	inFlight    bool
+	tainted    bool // consumed corrupted data
+	fetchTaint bool // instruction encoding corrupted
+	fetchWI    bool // corruption includes operation-field bits
+	lsqAddrT   bool
+	lsqDataT   bool
+	storeDataT bool
+	doneCycle  uint64
+	inFlight   bool
 }
 
 // fetchEntry is a pre-decoded instruction waiting for dispatch.
@@ -161,10 +161,10 @@ type Core struct {
 
 	iq []int // rob indices waiting to issue (program order)
 
-	lq, sq     []lsqEntry
-	lqH, lqT   int
-	sqH, sqT   int
-	lqN, sqN   int
+	lq, sq   []lsqEntry
+	lqH, lqT int
+	sqH, sqT int
+	lqN, sqN int
 
 	fq      []fetchEntry
 	fetchPC uint64
@@ -376,11 +376,22 @@ func (c *Core) fetchStage() {
 // --- dispatch (rename + allocate) ---
 
 func (c *Core) dispatchStage() {
+	// Pop the dispatched entries by shifting the queue in place, so
+	// fetchStage's appends reuse its storage instead of reallocating.
+	if n := c.dispatch(); n > 0 {
+		c.fq = c.fq[:copy(c.fq, c.fq[n:])]
+	}
+}
+
+// dispatch renames and allocates up to IssueWidth fetch-queue entries
+// in order, returning how many it consumed from the head of c.fq.
+func (c *Core) dispatch() int {
 	width := c.Cfg.IssueWidth
-	for n := 0; n < width && len(c.fq) > 0; n++ {
-		fe := c.fq[0]
+	n := 0
+	for ; n < width && n < len(c.fq); n++ {
+		fe := c.fq[n]
 		if fe.ready > c.Cycle || c.robCount == c.Cfg.ROBSize {
-			return
+			return n
 		}
 		idx := c.robTail
 		e := &c.rob[idx]
@@ -412,7 +423,7 @@ func (c *Core) dispatchStage() {
 				p, ok := c.allocPhys()
 				if !ok {
 					e.valid = false
-					return // no physical register: retry next cycle
+					return n // no physical register: retry next cycle
 				}
 				e.archRd = in.Rd
 				e.newPhys = p
@@ -423,7 +434,7 @@ func (c *Core) dispatchStage() {
 			if e.isLoad {
 				if c.lqN == c.Cfg.LQSize {
 					c.undoRename(e)
-					return
+					return n
 				}
 				e.lsq = c.lqT
 				le := &c.lq[c.lqT]
@@ -434,7 +445,7 @@ func (c *Core) dispatchStage() {
 			if e.isStore {
 				if c.sqN == c.Cfg.SQSize {
 					c.undoRename(e)
-					return
+					return n
 				}
 				e.lsq = c.sqT
 				se := &c.sq[c.sqT]
@@ -447,15 +458,15 @@ func (c *Core) dispatchStage() {
 			} else {
 				c.undoLSQ(e)
 				c.undoRename(e)
-				return
+				return n
 			}
 		}
 
 		c.seq++
 		c.robTail = (c.robTail + 1) % c.Cfg.ROBSize
 		c.robCount++
-		c.fq = c.fq[1:]
 	}
+	return n
 }
 
 func (c *Core) undoRename(e *robe) {
@@ -799,11 +810,11 @@ func (c *Core) executeSerialize(idx int, e *robe) {
 // --- completion / writeback ---
 
 func (c *Core) completeStage() {
-	bucket := c.ring[c.Cycle%ringSize]
+	slot := c.Cycle % ringSize
+	bucket := c.ring[slot]
 	if len(bucket) == 0 {
 		return
 	}
-	c.ring[c.Cycle%ringSize] = nil
 	for _, re := range bucket {
 		e := &c.rob[re.idx]
 		if !e.valid || e.seq != re.seq || !e.inFlight || e.doneCycle != c.Cycle {
@@ -815,6 +826,10 @@ func (c *Core) completeStage() {
 			c.writePhys(e.newPhys, e.result, e.tainted)
 		}
 	}
+	// Keep the drained bucket's storage for the cycle that next maps
+	// to this slot (writePhys never schedules, so nothing was added to
+	// the slot while it drained).
+	c.ring[slot] = bucket[:0]
 }
 
 // --- commit ---

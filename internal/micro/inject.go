@@ -18,12 +18,9 @@ func (cfg *Config) StructDims(s Structure) (entries, bitsPer int) {
 		return cfg.PhysRegs, cfg.ISA.XLen()
 	case StructLSQ:
 		return cfg.LQSize + cfg.SQSize, 2 * cfg.ISA.XLen()
-	case StructL1I:
-		return cfg.L1I.Lines(), cfg.L1I.BitsPerLine()
-	case StructL1D:
-		return cfg.L1D.Lines(), cfg.L1D.BitsPerLine()
-	case StructL2:
-		return cfg.L2.Lines(), cfg.L2.BitsPerLine()
+	}
+	if c, ok := cfg.Cache(s); ok {
+		return c.Lines(), c.BitsPerLine()
 	}
 	return 0, 0
 }

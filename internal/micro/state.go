@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -35,7 +36,9 @@ import (
 
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
-func appendI(dst []byte, v int) []byte { return binary.LittleEndian.AppendUint64(dst, uint64(int64(v))) }
+func appendI(dst []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(int64(v)))
+}
 
 func appendBool(dst []byte, v bool) []byte {
 	if v {
@@ -62,6 +65,39 @@ func StatePC(blob []byte) (uint64, bool) {
 // EncodeState appends the canonical encoding of the core's
 // StateEqual-relevant state to dst and returns the result.
 func (c *Core) EncodeState(dst []byte) []byte {
+	dst = c.appendHead(dst)
+	dst = c.l1i.appendState(dst)
+	dst = c.l1d.appendState(dst)
+	dst = c.l2.appendState(dst)
+
+	// Variable-length tail.
+	dst = binary.AppendUvarint(dst, uint64(len(c.freeList)))
+	for _, v := range c.freeList {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.iq)))
+	for _, v := range c.iq {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.fq)))
+	for i := range c.fq {
+		dst = appendFetch(dst, &c.fq[i])
+	}
+	for _, bucket := range c.ring {
+		dst = binary.AppendUvarint(dst, uint64(len(bucket)))
+		for _, e := range bucket {
+			dst = binary.AppendUvarint(dst, uint64(e.idx))
+			dst = binary.AppendUvarint(dst, e.seq)
+		}
+	}
+	dst = appendTaints(dst, c.ram.taints)
+	return c.Bus.AppendDevice(dst)
+}
+
+// appendHead emits the fixed-size sections that precede the caches:
+// scalars, register files, ROB/LSQ arrays and the branch predictor.
+// Its length depends only on the Config.
+func (c *Core) appendHead(dst []byte) []byte {
 	dst = appendU64(dst, c.Cycle)
 	dst = appendU64(dst, c.Instret)
 	dst = appendU64(dst, c.KInstr)
@@ -99,33 +135,7 @@ func (c *Core) EncodeState(dst []byte) []byte {
 	for i := range c.sq {
 		dst = appendLSQ(dst, &c.sq[i])
 	}
-	dst = c.bp.appendState(dst)
-	dst = c.l1i.appendState(dst)
-	dst = c.l1d.appendState(dst)
-	dst = c.l2.appendState(dst)
-
-	// Variable-length tail.
-	dst = binary.AppendUvarint(dst, uint64(len(c.freeList)))
-	for _, v := range c.freeList {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.iq)))
-	for _, v := range c.iq {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.fq)))
-	for i := range c.fq {
-		dst = appendFetch(dst, &c.fq[i])
-	}
-	for _, bucket := range c.ring {
-		dst = binary.AppendUvarint(dst, uint64(len(bucket)))
-		for _, e := range bucket {
-			dst = binary.AppendUvarint(dst, uint64(e.idx))
-			dst = binary.AppendUvarint(dst, e.seq)
-		}
-	}
-	dst = appendTaints(dst, c.ram.taints)
-	return c.Bus.AppendDevice(dst)
+	return c.bp.appendState(dst)
 }
 
 func appendRobe(dst []byte, r *robe) []byte {
@@ -214,9 +224,21 @@ func (bp *branchPred) appendState(dst []byte) []byte {
 	return dst
 }
 
+// A cache section is the 8-byte LRU tick, then one fixed-size record
+// per line in entry order (set-major, as StructDims numbers lines),
+// then the data backing. A line record is lineHeadBytes of valid,
+// dirty, tag and LRU stamp, then the line's taint mask; valid is the
+// record's first byte.
+const lineHeadBytes = 1 + 1 + 8 + 8
+
+// lineRecBytes is the size of one line record in a cache section.
+func (c *cache) lineRecBytes() int { return lineHeadBytes + c.cfg.LineBytes }
+
+// stateBytes is the length of the cache section appendState emits.
+func (c *cache) stateBytes() int { return 8 + c.cfg.Lines()*c.lineRecBytes() + len(c.backing) }
+
 func (c *cache) appendState(dst []byte) []byte {
 	dst = appendU64(dst, uint64(c.tick))
-	lb := c.cfg.LineBytes
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]
@@ -227,15 +249,61 @@ func (c *cache) appendState(dst []byte) []byte {
 			// nil taint ≡ all-zero: always emit the full mask so the
 			// encoding is canonical.
 			if l.taint == nil {
-				for i := 0; i < lb; i++ {
-					dst = append(dst, 0)
-				}
+				dst = append(dst, zeroLine(c.cfg.LineBytes)...)
 			} else {
 				dst = append(dst, l.taint...)
 			}
 		}
 	}
 	return append(dst, c.backing...)
+}
+
+// ValidIndex locates every cache line's valid flag inside the
+// EncodeState blobs of one Config, so a checkpoint's line validity is
+// read straight from its blob without a DecodeState. The offsets come
+// from the codec: the head is measured by encoding it, and each cache
+// section's length is the one appendState emits.
+type ValidIndex struct {
+	// off is the blob offset of each cache structure's first line
+	// record, rec its line record size and lines its line count; all
+	// zero for the non-cache structures.
+	off, rec, lines [NumStructures]int
+}
+
+// ValidIndex returns the valid-flag index for this core's Config.
+func (c *Core) ValidIndex() ValidIndex {
+	var x ValidIndex
+	off := len(c.appendHead(nil))
+	// The cache sections follow the head in EncodeState's order.
+	for _, lv := range [...]struct {
+		s  Structure
+		ch *cache
+	}{{StructL1I, c.l1i}, {StructL1D, c.l1d}, {StructL2, c.l2}} {
+		x.off[lv.s] = off + 8
+		x.rec[lv.s] = lv.ch.lineRecBytes()
+		x.lines[lv.s] = lv.ch.cfg.Lines()
+		off += lv.ch.stateBytes()
+	}
+	return x
+}
+
+// Lines returns the line count of cache structure s (0 for the
+// non-cache structures).
+func (x *ValidIndex) Lines(s Structure) int { return x.lines[s] }
+
+// LineValid reports the valid flag of line `line` (StructDims entry
+// numbering) of cache structure s in an EncodeState blob. ok is false
+// for a non-cache structure, an out-of-range line or a blob too short
+// to hold the flag.
+func (x *ValidIndex) LineValid(blob []byte, s Structure, line int) (valid, ok bool) {
+	if line < 0 || line >= x.lines[s] {
+		return false, false
+	}
+	at := x.off[s] + line*x.rec[s]
+	if at >= len(blob) {
+		return false, false
+	}
+	return blob[at] != 0, true
 }
 
 // appendTaints emits the RAM taint map canonically: nonzero entries
@@ -577,11 +645,17 @@ func (c *cache) readState(r *stateReader) {
 	copy(c.backing, r.bytes(len(c.backing)))
 }
 
-func isZeroMask(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
+// zeroLines backs zeroLine: the all-zero taint mask of a clean line.
+var zeroLines [256]byte
+
+// zeroLine returns n zero bytes (read-only).
+func zeroLine(n int) []byte {
+	if n > len(zeroLines) {
+		return make([]byte, n)
 	}
-	return true
+	return zeroLines[:n:n]
 }
+
+// isZeroMask reports whether a taint mask is all zero. The compare
+// against a shared zero line runs word-at-a-time.
+func isZeroMask(b []byte) bool { return bytes.Equal(b, zeroLine(len(b))) }

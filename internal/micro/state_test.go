@@ -117,3 +117,106 @@ func TestStateCodecCanonical(t *testing.T) {
 		t.Fatal("blob with trailing bytes decoded without error")
 	}
 }
+
+// TestValidIndexReadsLineFlags: every cache line's valid flag, set to
+// a pattern and then to its complement, must read back through
+// ValidIndex from the encoded blob; each cache section must be exactly
+// the length the index assumes.
+func TestValidIndexReadsLineFlags(t *testing.T) {
+	for _, cfg := range []Config{ConfigA72(), ConfigA9()} {
+		core := midpointCore(t, cfg)
+		x := core.ValidIndex()
+		levels := []struct {
+			s  Structure
+			ch *cache
+		}{{StructL1I, core.l1i}, {StructL1D, core.l1d}, {StructL2, core.l2}}
+		for _, lv := range levels {
+			if got, want := len(lv.ch.appendState(nil)), lv.ch.stateBytes(); got != want {
+				t.Fatalf("%s %v: section is %d bytes, stateBytes says %d", cfg.Name, lv.s, got, want)
+			}
+			if entries, _ := cfg.StructDims(lv.s); x.Lines(lv.s) != entries {
+				t.Fatalf("%s %v: %d lines, StructDims says %d", cfg.Name, lv.s, x.Lines(lv.s), entries)
+			}
+		}
+		pattern := func(k, line int) bool { return (line*7+k)%3 == 0 }
+		for _, invert := range []bool{false, true} {
+			for k, lv := range levels {
+				for line := 0; line < x.Lines(lv.s); line++ {
+					lv.ch.sets[line/lv.ch.cfg.Assoc][line%lv.ch.cfg.Assoc].valid = pattern(k, line) != invert
+				}
+			}
+			blob := core.EncodeState(nil)
+			for k, lv := range levels {
+				for line := 0; line < x.Lines(lv.s); line++ {
+					v, ok := x.LineValid(blob, lv.s, line)
+					if !ok || v != (pattern(k, line) != invert) {
+						t.Fatalf("%s %v line %d (invert=%v): read %v ok=%v", cfg.Name, lv.s, line, invert, v, ok)
+					}
+				}
+			}
+		}
+		blob := core.EncodeState(nil)
+		for _, bad := range []struct {
+			s    Structure
+			line int
+		}{{StructRF, 0}, {StructLSQ, 0}, {StructL2, -1}, {StructL2, x.Lines(StructL2)}} {
+			if _, ok := x.LineValid(blob, bad.s, bad.line); ok {
+				t.Fatalf("%s: LineValid(%v, %d) accepted", cfg.Name, bad.s, bad.line)
+			}
+		}
+		if _, ok := x.LineValid(blob[:x.off[StructL2]], StructL2, 0); ok {
+			t.Fatalf("%s: LineValid accepted a blob cut before the flag", cfg.Name)
+		}
+	}
+}
+
+// TestGoldenLineValidityMonotone pins the invariant the campaign-level
+// dead-line pre-check rests on: stepping fault-free runs cycle by
+// cycle, no cache line ever goes from valid to invalid. A level is
+// rescanned in every cycle that moved its LRU tick (every access does)
+// and every 64th cycle regardless, which keeps the L2 scans affordable.
+func TestGoldenLineValidityMonotone(t *testing.T) {
+	for _, bench := range []string{"sha", "qsort"} {
+		spec, err := workload.Get(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{ConfigA72(), ConfigA9()} {
+			img := buildImage(t, spec.Gen(3, 1), cfg.ISA)
+			core := New(cfg, img.NewMemory(), img.Entry)
+			caches := []*cache{core.l1i, core.l1d, core.l2}
+			was := make([][]bool, len(caches))
+			ticks := make([]int64, len(caches))
+			for k, ch := range caches {
+				was[k] = make([]bool, ch.cfg.Lines())
+			}
+			filled := 0
+			for core.Step() {
+				for k, ch := range caches {
+					if ch.tick == ticks[k] && core.Cycle%64 != 0 {
+						continue
+					}
+					ticks[k] = ch.tick
+					line := 0
+					for si := range ch.sets {
+						for wi := range ch.sets[si] {
+							v := ch.sets[si][wi].valid
+							if was[k][line] && !v {
+								t.Fatalf("%s/%s: line %d of cache %d went invalid at cycle %d", bench, cfg.Name, line, k, core.Cycle)
+							}
+							if v && !was[k][line] {
+								filled++
+							}
+							was[k][line] = v
+							line++
+						}
+					}
+				}
+			}
+			if filled == 0 {
+				t.Fatalf("%s/%s: no line was ever filled", bench, cfg.Name)
+			}
+			t.Logf("%s/%s: %d cycles, %d lines filled", bench, cfg.Name, core.Cycle, filled)
+		}
+	}
+}

@@ -423,9 +423,11 @@ func (s *System) MicroTally(cfg micro.Config, st micro.Structure, n int, seed in
 }
 
 // CacheSampleBoost multiplies the per-structure sample count for the
-// cache structures. Most cache faults land in invalid lines and are
-// classified without running (cheap), so spending extra samples there
-// sharpens the small cache AVFs that dominate the bit-weighted total.
+// cache structures. Most cache faults land in lines the golden run has
+// not filled by the next checkpoint; the micro campaign classifies
+// those Masked from its checkpoint chain before restoring a machine or
+// simulating a cycle, so extra samples there are cheap and sharpen the
+// small cache AVFs that dominate the bit-weighted total.
 var CacheSampleBoost = map[micro.Structure]int{
 	micro.StructL1I: 3, micro.StructL1D: 3, micro.StructL2: 6,
 }
