@@ -241,9 +241,6 @@ func cmdCampaign(args []string) error {
 	hard := fs.Bool("harden", false, "apply the fault-tolerance transform")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = all CPUs; tallies are identical for any value)")
 	storeDir := fs.String("store", "", "persistent results store directory (reuse + top-up of stored records)")
-	earlyStop := fs.Bool("earlystop", true, "golden-trace convergence early-stop (provably outcome-preserving; off-switch for measurement)")
-	decodeCache := fs.Bool("decodecache", true, "predecoded fetch cache (provably result-neutral; off-switch for measurement)")
-	tbEng := fs.Bool("tb", true, "translation-block execution engines: arch-layer superblock dispatch and soft-layer compiled IR (provably result-neutral; off-switch for measurement)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file")
 	fs.Parse(args)
@@ -256,13 +253,13 @@ func cmdCampaign(args []string) error {
 
 	if *strat {
 		opt := vulnstack.StratOptions{CI: *ci, Confidence: *conf, Pool: *pool, N0: *n0, MaxNew: *maxNew}
-		return stratCampaign(*layer, *bench, *cfgName, *stName, *fpmName, *seed, *hard, *workers, *storeDir, *static, !*tbEng, opt)
+		return stratCampaign(*layer, *bench, *cfgName, *stName, *fpmName, *seed, *hard, *workers, *storeDir, *static, opt)
 	}
 	if *layer == "uniform" {
-		return uniformCampaign(*bench, *n, *seed, *hard, *workers, *storeDir, !*earlyStop, !*decodeCache, !*tbEng)
+		return uniformCampaign(*bench, *n, *seed, *hard, *workers, *storeDir)
 	}
 	if *layer == "soft" {
-		return softCampaign(*bench, *n, *seed, *hard, *workers, *storeDir, !*earlyStop, *static, !*tbEng)
+		return softCampaign(*bench, *n, *seed, *hard, *workers, *storeDir, *static)
 	}
 	if *layer != "micro" {
 		return fmt.Errorf("campaign: unknown -layer %q (micro, uniform, or soft)", *layer)
@@ -280,9 +277,6 @@ func cmdCampaign(args []string) error {
 		return err
 	}
 	sys.Workers = *workers
-	sys.NoEarlyStop = !*earlyStop
-	sys.NoDecodeCache = !*decodeCache
-	sys.NoTB = !*tbEng
 	stored := 0
 	if *storeDir != "" {
 		store, err := results.OpenStore(*storeDir)
@@ -327,7 +321,7 @@ func cmdCampaign(args []string) error {
 // uniform over (register, bit, dynamic instant). Its failure rate is
 // the measured quantity that the dynamic ACE bound — and transitively
 // the static bound of `vulnstack analyze` — provably dominates.
-func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string, noEarlyStop, noDecodeCache, noTB bool) error {
+func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string) error {
 	// The input seed doubles as the sampling seed, matching the lab's
 	// convention so `analyze -seed S -store DIR` finds these records.
 	sys, err := vulnstack.Build(vulnstack.Target{Bench: bench, Seed: seed, Harden: hard}, isa.VSA64)
@@ -335,9 +329,6 @@ func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, st
 		return err
 	}
 	sys.Workers = workers
-	sys.NoEarlyStop = noEarlyStop
-	sys.NoDecodeCache = noDecodeCache
-	sys.NoTB = noTB
 	stored := 0
 	if storeDir != "" {
 		store, err := results.OpenStore(storeDir)
@@ -376,15 +367,13 @@ func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, st
 // optionally with the bit-precise static resolution pass: faults the
 // demanded-bits analysis proves masked are classified without running,
 // with tallies bit-identical to the uninstrumented dynamic baseline.
-func softCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string, noEarlyStop, static, noTB bool) error {
+func softCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string, static bool) error {
 	sys, err := vulnstack.Build(vulnstack.Target{Bench: bench, Seed: seed, Harden: hard}, isa.VSA64)
 	if err != nil {
 		return err
 	}
 	sys.Workers = workers
-	sys.NoEarlyStop = noEarlyStop
 	sys.Static = static
-	sys.NoTB = noTB
 	stored := 0
 	if storeDir != "" {
 		store, err := results.OpenStore(storeDir)
@@ -423,7 +412,7 @@ func softCampaign(bench string, n int, seed int64, hard bool, workers int, store
 // requested layer and prints the unbiased reweighted estimate with the
 // per-stratum breakdown and the provenance stamp (plan parameters +
 // partition fingerprint) that identifies the record stream in a store.
-func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, hard bool, workers int, storeDir string, static, noTB bool, opt vulnstack.StratOptions) error {
+func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, hard bool, workers int, storeDir string, static bool, opt vulnstack.StratOptions) error {
 	cfg, err := micro.ConfigByName(cfgName)
 	if err != nil {
 		return err
@@ -439,7 +428,6 @@ func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, ha
 	}
 	sys.Workers = workers
 	sys.Static = static
-	sys.NoTB = noTB
 	if storeDir != "" {
 		store, err := results.OpenStore(storeDir)
 		if err != nil {

@@ -8,15 +8,18 @@ import (
 	"vulnstack/internal/results"
 )
 
-// TestAccelerationEquivalenceAllBenchmarks is the acceptance gate of
-// the early-stop + decode-cache work: on every seed benchmark, at every
-// layer, for one and several workers, the accelerated engines must
-// produce tallies bit-identical to the run-to-completion engines. The
-// micro layer covers the RF and two cache structures, where the
-// dead-line pre-check classifies most faults without running. The
-// per-layer sample counts are small — the point is breadth (every
-// benchmark exercises different convergence and decode patterns), not
-// statistical depth.
+// TestAccelerationEquivalenceAllBenchmarks is the equivalence gate of
+// the fast path: on every seed benchmark, at every layer, for one and
+// several workers, the accelerated engines (convergence early-stop,
+// dead cache-line pre-check, dead-definition filter, translation
+// blocks) must produce tallies bit-identical to the Reference engines.
+// The micro layer covers the RF and two cache structures, where the
+// dead-line pre-check classifies most faults without running. The two
+// systems build their golden chains independently, through their own
+// engines, so an engine bug cannot corrupt both sides of the
+// comparison. The per-layer sample counts are small — the point is
+// breadth (every benchmark exercises different convergence, decode and
+// block patterns), not statistical depth.
 func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 	const (
 		nMicro = 10
@@ -29,17 +32,13 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			// Two systems: the decode-cache switch is baked into campaign
-			// snapshots, so accelerated and baseline campaigns cannot
-			// share one.
-			mk := func(off bool) *System {
+			mk := func(reference bool) *System {
 				sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys.Snapshots = 6
-				sys.NoEarlyStop = off
-				sys.NoDecodeCache = off
+				sys.Reference = reference
 				return sys
 			}
 			accel, base := mk(false), mk(true)

@@ -139,20 +139,18 @@ func (l *Lab) fill(fns ...func() error) error {
 
 // NewLab creates a lab with the given options.
 func NewLab(o Options) *Lab {
-	if o.NAVF <= 0 || o.NPVF <= 0 || o.NSVF <= 0 {
-		d := DefaultOptions()
-		if o.NAVF <= 0 {
-			o.NAVF = d.NAVF
-		}
-		if o.NPVF <= 0 {
-			o.NPVF = d.NPVF
-		}
-		if o.NSVF <= 0 {
-			o.NSVF = d.NSVF
-		}
+	d := DefaultOptions()
+	if o.NAVF <= 0 {
+		o.NAVF = d.NAVF
+	}
+	if o.NPVF <= 0 {
+		o.NPVF = d.NPVF
+	}
+	if o.NSVF <= 0 {
+		o.NSVF = d.NSVF
 	}
 	if o.Snapshots <= 0 {
-		o.Snapshots = 12
+		o.Snapshots = d.Snapshots
 	}
 	return &Lab{
 		Opts:    o,

@@ -52,17 +52,11 @@ type Campaign struct {
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
 	// The tally is bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables convergence early-stop classification; runs
-	// then always execute to halt or Limit. The zero value keeps the
-	// optimization on — outcomes are provably identical either way.
-	NoEarlyStop bool
-	// NoDecodeCache disables the emulator's predecoded fetch cache on
-	// CPUs this campaign creates (also provably result-neutral).
-	NoDecodeCache bool
-	// NoTB disables the translation-block engine (internal/tb) on the
-	// faulty-run path; the zero value keeps it on. Tallies are
+	// Reference runs every fault step by step to halt or Limit:
+	// convergence early-stop and the translation-block engine
+	// (internal/tb) are off. The zero value keeps both on; tallies are
 	// bit-identical either way (the equivalence gate asserts it).
-	NoTB bool
+	Reference bool
 	// TBParanoid, when non-nil, runs translation-block workers in
 	// paranoid validation mode: every predecoded op's instruction word
 	// is refetched and compared before executing (counted here), and a
@@ -187,11 +181,11 @@ func decodeGolden(b []byte, cp *Campaign) error {
 
 // PrepareOptions configure the golden run.
 type PrepareOptions struct {
-	// NoTB runs the golden execution step-by-step instead of through
-	// the translation-block engine. The captured chain is bit-identical
-	// either way; campaigns pass their own NoTB so an engine bug could
-	// never corrupt both sides of the tb-on/tb-off equivalence gate.
-	NoTB bool
+	// Reference runs the golden execution step by step instead of
+	// through the translation-block engine. The captured chain is
+	// bit-identical either way; campaigns pass their own Reference so an
+	// engine bug could never corrupt both sides of the equivalence gate.
+	Reference bool
 }
 
 // Prepare runs the golden execution with default options and captures
@@ -204,7 +198,7 @@ func Prepare(img *kernel.Image, nsnaps int) (*Campaign, error) {
 // checkpoint chain (boot state only when nsnaps <= 1).
 func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign, error) {
 	run := func(c *emu.CPU) func(uint64) bool {
-		if opts.NoTB {
+		if opts.Reference {
 			return c.Run
 		}
 		return tb.New(c).Run
@@ -294,7 +288,7 @@ type worker struct {
 	cpu *emu.CPU
 	bus *dev.Bus
 	m   *mem.Memory
-	eng *tb.Engine // nil when the campaign runs step-by-step (NoTB)
+	eng *tb.Engine // nil when the campaign runs step by step (Reference)
 	src int        // checkpoint index the arena was last restored from
 	// stateBuf holds the materialized state blob of checkpoint src;
 	// cmpBuf is the convergence-test encode scratch.
@@ -312,8 +306,7 @@ func (cp *Campaign) cpuFor(w *worker, k uint64, g int) (*emu.CPU, *dev.Bus) {
 		w.m.EnableTracking()
 		w.bus = dev.NewBus(w.m)
 		w.cpu = emu.New(cp.Img.ISA, w.bus, cp.Img.Entry)
-		w.cpu.NoDecodeCache = cp.NoDecodeCache
-		if !cp.NoTB {
+		if !cp.Reference {
 			w.eng = tb.New(w.cpu)
 			w.eng.Paranoid = cp.TBParanoid
 		}
@@ -466,7 +459,7 @@ func (cp *Campaign) runFaulty(c *emu.CPU, bus *dev.Bus, g int, w *worker) (halte
 		}
 		return bus.Halted()
 	}
-	if !cp.NoEarlyStop && bus.Mem.Tracking() {
+	if !cp.Reference && bus.Mem.Tracking() {
 		for j := g + 1; j < cp.chain.Len(); j++ {
 			target := cp.chain.Coord(j)
 			// apply may have executed forward past this boundary while

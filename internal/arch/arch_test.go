@@ -156,15 +156,16 @@ func TestSampleClampDegenerateGolden(t *testing.T) {
 	}
 }
 
-// TestArchEarlyStopRecordEquivalence: convergence early-stop at the
-// architectural layer must change records only in provenance.
+// TestArchEarlyStopRecordEquivalence: the architectural fast path
+// (convergence early-stop, translation blocks) must change records only
+// in provenance against the Reference engine.
 func TestArchEarlyStopRecordEquivalence(t *testing.T) {
 	cp := prep(t, "sha", isa.VSA64)
 	const n, seed = 40, 2021
 	on := cp.Records(micro.FPMWD, n, 0, seed, nil)
-	cp.NoEarlyStop = true
+	cp.Reference = true
 	off := cp.Records(micro.FPMWD, n, 0, seed, nil)
-	cp.NoEarlyStop = false
+	cp.Reference = false
 	stopped := 0
 	for i := range on {
 		if on[i].EarlyStop {

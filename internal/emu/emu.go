@@ -35,12 +35,13 @@ type CPU struct {
 	// OnCommit, when non-nil, observes every committed instruction.
 	OnCommit func(pc uint64, in isa.Instr, mode isa.Mode)
 
-	// NoDecodeCache disables the predecoded fetch memo (decode below);
-	// the zero value keeps it on. The memo is behaviour-transparent: it
-	// is tagged by the fetched word, so corrupted or overwritten
-	// instruction words always re-decode.
-	NoDecodeCache bool
-	decodeMemo    []decodeEnt
+	// decodeMemo is the predecoded fetch memo (decode below). It is
+	// behaviour-transparent: tagged by the fetched word, so corrupted
+	// or overwritten instruction words always re-decode.
+	decodeMemo []decodeEnt
+	// noMemo sends every fetch straight to isa.Decode, the memo's
+	// oracle. Only this package's tests set it.
+	noMemo bool
 }
 
 // decodeEnt is one slot of the predecoded fetch memo: a direct-mapped
@@ -58,7 +59,7 @@ const decodeBits = 12
 
 // decode is the memoized isa.Decode used by Step.
 func (c *CPU) decode(pc uint64, w uint32) (isa.Instr, bool) {
-	if c.NoDecodeCache {
+	if c.noMemo {
 		return isa.Decode(w, c.ISA)
 	}
 	if c.decodeMemo == nil {

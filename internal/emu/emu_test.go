@@ -422,3 +422,48 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored run: %d instret, want %d", c2.Instret, end)
 	}
 }
+
+// TestEmuDecodeCacheSelfModifying: a two-iteration loop overwrites its
+// own body instruction (addi +1 -> addi +100) during the first
+// iteration. The emulator rereads the instruction stream every step,
+// so the patched word must take effect — with and without the decode
+// memo, identically. A stale memo hit would add 1 twice (exit 2)
+// instead of 1 then 100 (exit 101).
+func TestEmuDecodeCacheSelfModifying(t *testing.T) {
+	patched := isa.Encode(isa.Instr{Op: isa.ADDI, Rd: 8, Rs1: 8, Imm: 100})
+	img := buildUser(t, isa.VSA64, func(b *asm.Builder) {
+		b.Label("_start")
+		b.La(6, "slot")
+		b.Li(7, int64(patched))
+		b.Li(8, 0)
+		b.Li(9, 2)
+		b.Label("loop")
+		b.Label("slot")
+		b.Addi(8, 8, 1) // overwritten with addi x8, x8, 100
+		b.Sw(7, 0, 6)
+		b.Addi(9, 9, -1)
+		b.Bne(9, 0, "loop")
+		b.Li(isa.RegA0, isa.SysExit)
+		b.Add(isa.RegA1, 8, 0)
+		b.Ecall()
+	})
+	run := func(noMemo bool) *dev.Bus {
+		bus := dev.NewBus(img.NewMemory())
+		c := New(img.ISA, bus, img.Entry)
+		c.noMemo = noMemo
+		if !c.Run(1 << 20) {
+			t.Fatal("did not halt")
+		}
+		return bus
+	}
+	cached, plain := run(false), run(true)
+	if cached.Halt != dev.HaltClean || plain.Halt != dev.HaltClean {
+		t.Fatalf("halts: cached %v, plain %v", cached.Halt, plain.Halt)
+	}
+	if cached.ExitCode != plain.ExitCode {
+		t.Fatalf("decode cache changed the result: %d vs %d", cached.ExitCode, plain.ExitCode)
+	}
+	if plain.ExitCode != 101 {
+		t.Fatalf("exit %d, want 101 (1 then patched +100)", plain.ExitCode)
+	}
+}

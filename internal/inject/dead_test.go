@@ -25,8 +25,8 @@ func benchCampaign(t *testing.T, bench string, cfg micro.Config, snaps int) *Cam
 // reference runs f on the run-to-completion engine (no convergence
 // early-stop, no dead-line pre-check).
 func reference(cp *Campaign, f Fault) Record {
-	cp.NoEarlyStop = true
-	defer func() { cp.NoEarlyStop = false }()
+	cp.Reference = true
+	defer func() { cp.Reference = false }()
 	return cp.Run(f).Record()
 }
 
@@ -49,9 +49,9 @@ func TestDeadCacheRecordEquivalence(t *testing.T) {
 			cp := benchCampaign(t, bench, cfg, 8)
 			for _, st := range cacheStructs {
 				pool := cp.Pool(st, n, seed)
-				cp.NoEarlyStop = true
+				cp.Reference = true
 				ref := cp.Records(st, n, 0, seed, nil)
-				cp.NoEarlyStop = false
+				cp.Reference = false
 				pre := 0
 				for i, f := range pool {
 					if cp.dead(f) {
@@ -134,9 +134,9 @@ func TestDeadPredicateEdges(t *testing.T) {
 			t.Errorf("%s: pre-classified record %+v, reference %+v", c.name, acc, ref)
 		}
 	}
-	cp.NoEarlyStop = true
+	cp.Reference = true
 	if cp.dead(cases[0].f) {
-		t.Error("NoEarlyStop campaign still pre-classifies")
+		t.Error("Reference campaign still pre-classifies")
 	}
 }
 

@@ -76,9 +76,9 @@ func TestEarlyStopRecordEquivalence(t *testing.T) {
 	cp := shaCampaign(t, micro.ConfigA72(), 8)
 	const n, seed = 40, 2021
 	on := cp.Records(micro.StructRF, n, 0, seed, nil)
-	cp.NoEarlyStop = true
+	cp.Reference = true
 	off := cp.Records(micro.StructRF, n, 0, seed, nil)
-	cp.NoEarlyStop = false
+	cp.Reference = false
 	if len(on) != len(off) {
 		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
 	}
@@ -103,29 +103,4 @@ func TestEarlyStopRecordEquivalence(t *testing.T) {
 		t.Fatal("tallies differ")
 	}
 	t.Logf("early-stopped %d/%d injections", stopped, n)
-}
-
-// TestDecodeCacheRecordsIdentical: the predecoded fetch cache must be
-// invisible in every record — including L1i injections, which corrupt
-// the very words the cache is keyed on.
-func TestDecodeCacheRecordsIdentical(t *testing.T) {
-	cfgOn := micro.ConfigA72()
-	cfgOff := micro.ConfigA72()
-	cfgOff.NoDecodeCache = true
-	mkRecs := func(cfg micro.Config, st micro.Structure) []results.Record {
-		cp := shaCampaign(t, cfg, 8)
-		return cp.Records(st, 25, 0, 7, nil)
-	}
-	for _, st := range []micro.Structure{micro.StructRF, micro.StructL1I} {
-		on := mkRecs(cfgOn, st)
-		off := mkRecs(cfgOff, st)
-		if len(on) != len(off) {
-			t.Fatalf("%v: record counts differ", st)
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("%v record %d differs:\n cache: %+v\nno-cache: %+v", st, i, on[i], off[i])
-			}
-		}
-	}
 }

@@ -144,10 +144,10 @@ type Campaign struct {
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
 	// The tally is bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables convergence early-stop classification; runs
-	// then always execute to halt or Limit. The zero value keeps the
-	// optimization on — outcomes are provably identical either way.
-	NoEarlyStop bool
+	// Reference runs every fault to halt or Limit: convergence
+	// early-stop and the dead cache-line pre-check are off. The zero
+	// value keeps both on; outcomes are provably identical either way.
+	Reference bool
 	// Resumed reports the campaign was prepared from a persisted chain:
 	// zero golden-run instructions were executed by Prepare.
 	Resumed bool
@@ -323,11 +323,11 @@ func firstValidLines(ch *ckpt.Chain, x micro.ValidIndex) (tab [micro.NumStructur
 // checkpoint at or after f.Cycle, a line still invalid at j was invalid
 // at f.Cycle. Faults past the last checkpoint, valid-bit flips and
 // lines filled by j are left to simulation. The test is part of the
-// accelerated engine: NoEarlyStop, the run-to-completion reference,
-// turns it off.
+// accelerated engine: Reference, the run-to-completion oracle, turns
+// it off.
 func (cp *Campaign) dead(f Fault) bool {
 	first := cp.firstValid[f.Struct]
-	if cp.NoEarlyStop || first == nil {
+	if cp.Reference || first == nil {
 		return false
 	}
 	if c, _ := cp.Cfg.Cache(f.Struct); f.Bit == c.ValidBit() {
@@ -458,7 +458,7 @@ func (cp *Campaign) classify(core *micro.Core, f Fault, g int, w *worker) Result
 // (the machine reached a halt port) and converged (the run was cut
 // short because its full state re-equaled golden's at a boundary).
 func (cp *Campaign) runFaulty(core *micro.Core, g int, w *worker) (halted, converged bool) {
-	if cp.NoEarlyStop || !core.Bus.Mem.Tracking() {
+	if cp.Reference || !core.Bus.Mem.Tracking() {
 		return core.Run(cp.Limit), false
 	}
 	for j := g + 1; j < cp.chain.Len(); j++ {

@@ -35,9 +35,9 @@ func TestDeadFilterEquivalence(t *testing.T) {
 	cp := prep(t, "sha")
 	const n, seed = 80, 2021
 	on := cp.Records(n, 0, seed, nil)
-	cp.NoEarlyStop = true
+	cp.Reference = true
 	off := cp.Records(n, 0, seed, nil)
-	cp.NoEarlyStop = false
+	cp.Reference = false
 	if len(on) != len(off) {
 		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
 	}
@@ -97,11 +97,11 @@ func main() int {
 	}
 	for _, seq := range dead {
 		f := Fault{Seq: seq, Bit: 13}
-		cp.NoEarlyStop = true
+		cp.Reference = true
 		if o := cp.Run(f); o != inject.Masked {
 			t.Fatalf("dead def seq=%d executed to %v, not Masked", seq, o)
 		}
-		cp.NoEarlyStop = false
+		cp.Reference = false
 	}
 	t.Logf("executed %d filter-claimed-dead faults, all Masked", len(dead))
 }

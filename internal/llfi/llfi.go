@@ -43,13 +43,16 @@ type Campaign struct {
 	// The tally is bit-identical for every worker count.
 	Workers int
 
-	// NoEarlyStop disables the dead-definition filter (the zero value
-	// keeps it on): a fault in a definition whose value the golden run
-	// never read is provably Masked — the corrupted register is
-	// overwritten or its frame returns before anything consumes it, so
-	// execution is bit-identical to golden — and is classified without
-	// running the interpreter at all.
-	NoEarlyStop bool
+	// Reference runs every fault through the hooked interpreter to
+	// completion: the dead-definition filter and the compiled
+	// direct-threaded engine (internal/tb) are off. The zero value keeps
+	// both on. The filter classifies a fault in a definition whose value
+	// the golden run never read as Masked without running — the
+	// corrupted register is overwritten or its frame returns before
+	// anything consumes it, so execution is bit-identical to golden.
+	// Outcomes are bit-identical either way (the equivalence gate
+	// asserts it).
+	Reference bool
 	// usedDefs is the golden def-use bitset (ir.Interp.TrackUse), indexed
 	// by dynamic definition sequence number.
 	usedDefs []uint64
@@ -58,9 +61,7 @@ type Campaign struct {
 	// flipping a bit the interprocedural demanded-bits analysis proves
 	// can never influence an observable output (program bytes, exit
 	// code, detection, or a crash) are classified Masked without ever
-	// preparing an interpreter. Off by default; requires the golden run
-	// to have tracked definition sites (it does unless NoDeadDefFilter
-	// was set at Prepare time).
+	// preparing an interpreter. Off by default.
 	Static bool
 	// defSites maps each dynamic definition sequence number from the
 	// golden run to its static instruction site (ir.Interp.DefSites).
@@ -68,26 +69,17 @@ type Campaign struct {
 	// irb is the interprocedural demanded-bits result over cp.M.
 	irb *static.IRBits
 
-	// NoTB disables the compiled direct-threaded engine for faulty runs
-	// (the zero value keeps it on): the module is then interpreted
-	// instruction-by-instruction with the fault applied via DefHook.
-	// Outcomes are bit-identical either way (the equivalence gate
-	// asserts it); golden runs always use the plain interpreter, which
-	// the def-use and site tracking requires.
-	NoTB     bool
+	// progOnce builds prog, the compiled form of M faulty runs execute
+	// (golden runs always use the plain interpreter, which the def-use
+	// and site tracking requires).
 	progOnce sync.Once
 	prog     *tb.Prog
 }
 
-// PrepareOptions configure the golden run.
-type PrepareOptions struct {
-	// NoDeadDefFilter skips golden def-use tracking entirely: when the
-	// dead-definition filter will be disabled anyway (NoEarlyStop
-	// campaigns), paying the tracking overhead on the golden run buys
-	// nothing, so the bitset is simply never built. Outcomes are
-	// unaffected — deadDef treats a missing bitset as "never dead".
-	NoDeadDefFilter bool
-}
+// PrepareOptions configure the golden run. It has no fields: the
+// golden run always tracks def-use and definition sites, and the
+// Reference engine is chosen per campaign.
+type PrepareOptions struct{}
 
 // Prepare runs the golden execution with default options.
 func Prepare(m *ir.Module, memSize int) (*Campaign, error) {
@@ -98,21 +90,13 @@ func Prepare(m *ir.Module, memSize int) (*Campaign, error) {
 func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, error) {
 	ip := ir.NewInterp(m, Width, memSize)
 	ip.MaxSteps = 1 << 32
-	ip.TrackUse = !opts.NoDeadDefFilter
-	ip.TrackSites = ip.TrackUse
+	ip.TrackUse = true
+	ip.TrackSites = true
 	if err := ip.Run("_start"); err != nil {
 		return nil, fmt.Errorf("llfi: golden run: %w", err)
 	}
 	if !ip.Exited {
 		return nil, errors.New("llfi: golden run did not exit")
-	}
-	var used []uint64
-	var sites []int32
-	var irb *static.IRBits
-	if ip.TrackUse {
-		used = ip.UsedDefs()
-		sites = append([]int32(nil), ip.DefSites()...)
-		irb = static.AnalyzeIR(m, "_start", Width)
 	}
 	return &Campaign{
 		M:           m,
@@ -122,9 +106,9 @@ func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, err
 		GoldenSteps: ip.Steps,
 		MemSize:     memSize,
 		Limit:       3*ip.Steps + 100000,
-		usedDefs:    used,
-		defSites:    sites,
-		irb:         irb,
+		usedDefs:    ip.UsedDefs(),
+		defSites:    append([]int32(nil), ip.DefSites()...),
+		irb:         static.AnalyzeIR(m, "_start", Width),
 	}, nil
 }
 
@@ -152,7 +136,7 @@ func (cp *Campaign) Sample(r *rand.Rand) Fault {
 // deadDef reports whether f targets a definition the golden run never
 // read: such faults are provably Masked without running.
 func (cp *Campaign) deadDef(f Fault) bool {
-	if cp.NoEarlyStop || cp.usedDefs == nil {
+	if cp.Reference || cp.usedDefs == nil {
 		return false
 	}
 	w := int(f.Seq >> 6)
@@ -166,8 +150,7 @@ func (cp *Campaign) deadDef(f Fault) bool {
 // site is statically undemanded — no chain of uses can carry it into
 // program output, the exit code, a branch, an address, or a syscall
 // operand, so the injected run is observably identical to golden.
-// Always false when the campaign was prepared without site tracking or
-// Static is off.
+// Always false when Static is off.
 func (cp *Campaign) StaticMasked(f Fault) bool {
 	if !cp.Static || cp.irb == nil {
 		return false
@@ -182,9 +165,8 @@ func (cp *Campaign) StaticMasked(f Fault) bool {
 }
 
 // IRBits exposes the interprocedural demanded-bits result computed at
-// Prepare time (nil when site tracking was disabled): the analyze
-// surface reports its resolved fraction, and stratified campaigns key
-// strata on its per-site verdicts.
+// Prepare time: the analyze surface reports its resolved fraction, and
+// stratified campaigns key strata on its per-site verdicts.
 func (cp *Campaign) IRBits() *static.IRBits { return cp.irb }
 
 // Run performs one injection and classifies the outcome. It allocates
@@ -199,10 +181,10 @@ func (cp *Campaign) Run(f Fault) inject.Outcome {
 
 // compiled returns the direct-threaded compiled form of cp.M, building
 // it once per campaign, or nil when the campaign runs interpreted
-// (NoTB, or a module the compiler cannot handle — execution then falls
-// back to the interpreter with identical outcomes).
+// (Reference, or a module the compiler cannot handle — execution then
+// falls back to the interpreter with identical outcomes).
 func (cp *Campaign) compiled() *tb.Prog {
-	if cp.NoTB {
+	if cp.Reference {
 		return nil
 	}
 	cp.progOnce.Do(func() {
@@ -318,8 +300,8 @@ func (cp *Campaign) Pool(n int, seed int64) []Fault {
 }
 
 // UsedDef reports whether the golden run ever read the value of dynamic
-// definition seq. Conservatively true when def-use tracking was skipped
-// (NoDeadDefFilter) — callers using it as a stratification feature then
+// definition seq. Conservatively true on a campaign without a golden
+// def-use bitset — callers using it as a stratification feature then
 // simply get one coarser stratum, never a wrong estimate.
 func (cp *Campaign) UsedDef(seq uint64) bool {
 	if cp.usedDefs == nil {

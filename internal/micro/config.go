@@ -69,12 +69,6 @@ type Config struct {
 
 	L1I, L1D, L2 CacheConfig
 	MemLat       int
-
-	// NoDecodeCache disables the predecoded fetch cache (the per-PC
-	// isa.Decode memo). The zero value keeps it enabled; the cache is
-	// behaviour-transparent (keyed on the fetched word, so corrupted or
-	// self-modified words re-decode) and exists purely for speed.
-	NoDecodeCache bool
 }
 
 // The four study microarchitectures. Parameters follow the paper's

@@ -189,6 +189,9 @@ type Core struct {
 	// derived state — a pure function of fetched words — so it is
 	// excluded from Clone, StateEqual and injection targets.
 	decodeMemo []decodeEnt
+	// noMemo sends every fetch straight to isa.Decode, the memo's
+	// oracle. Only this package's tests set it.
+	noMemo bool
 }
 
 // ringEnt identifies a scheduled completion; seq guards against a

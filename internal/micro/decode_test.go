@@ -2,11 +2,10 @@ package micro
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"vulnstack/internal/asm"
-	"vulnstack/internal/dev"
-	"vulnstack/internal/emu"
 	"vulnstack/internal/isa"
 	"vulnstack/internal/kernel"
 	"vulnstack/internal/mem"
@@ -48,30 +47,13 @@ func smcImage(t *testing.T) *kernel.Image {
 	return img
 }
 
-// TestEmuDecodeCacheSelfModifying: the functional emulator rereads the
-// instruction stream every step, so the patched instruction must take
-// effect — with and without the decode memo, identically.
-func TestEmuDecodeCacheSelfModifying(t *testing.T) {
-	img := smcImage(t)
-	run := func(noCache bool) *dev.Bus {
-		bus := dev.NewBus(img.NewMemory())
-		c := emu.New(img.ISA, bus, img.Entry)
-		c.NoDecodeCache = noCache
-		if !c.Run(1 << 20) {
-			t.Fatal("did not halt")
-		}
-		return bus
-	}
-	cached, plain := run(false), run(true)
-	if cached.Halt != dev.HaltClean || plain.Halt != dev.HaltClean {
-		t.Fatalf("halts: cached %v, plain %v", cached.Halt, plain.Halt)
-	}
-	if cached.ExitCode != plain.ExitCode {
-		t.Fatalf("decode cache changed the result: %d vs %d", cached.ExitCode, plain.ExitCode)
-	}
-	if plain.ExitCode != 101 {
-		t.Fatalf("exit %d, want 101 (1 then patched +100)", plain.ExitCode)
-	}
+// newPair returns two cores booting img: one with the decode memo, one
+// decoding every fetch through isa.Decode, the memo's oracle.
+func newPair(img *kernel.Image) (memo, plain *Core) {
+	memo = New(ConfigA72(), img.NewMemory(), img.Entry)
+	plain = New(ConfigA72(), img.NewMemory(), img.Entry)
+	plain.noMemo = true
+	return memo, plain
 }
 
 // TestMicroDecodeCacheSelfModifying: whatever instruction bytes the
@@ -79,18 +61,12 @@ func TestEmuDecodeCacheSelfModifying(t *testing.T) {
 // isa.Decode of those bytes — the cached and uncached cores must agree
 // cycle for cycle.
 func TestMicroDecodeCacheSelfModifying(t *testing.T) {
-	img := smcImage(t)
-	cfgOn := ConfigA72()
-	cfgOff := ConfigA72()
-	cfgOff.NoDecodeCache = true
-	run := func(cfg Config) *Core {
-		c := New(cfg, img.NewMemory(), img.Entry)
+	on, off := newPair(smcImage(t))
+	for _, c := range []*Core{on, off} {
 		if !c.Run(1 << 22) {
 			t.Fatal("did not halt")
 		}
-		return c
 	}
-	on, off := run(cfgOn), run(cfgOff)
 	if on.Bus.Halt != off.Bus.Halt || on.Bus.ExitCode != off.Bus.ExitCode {
 		t.Fatalf("decode cache changed the outcome: %v/%d vs %v/%d",
 			on.Bus.Halt, on.Bus.ExitCode, off.Bus.Halt, off.Bus.ExitCode)
@@ -165,11 +141,7 @@ func TestDecodeCacheLockstepOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := buildImage(t, spec.Gen(3, 1), isa.VSA64)
-	cfgOff := ConfigA72()
-	cfgOff.NoDecodeCache = true
-	on := New(ConfigA72(), img.NewMemory(), img.Entry)
-	off := New(cfgOff, img.NewMemory(), img.Entry)
+	on, off := newPair(buildImage(t, spec.Gen(3, 1), isa.VSA64))
 	if !on.Run(1<<26) || !off.Run(1<<26) {
 		t.Fatal("did not halt")
 	}
@@ -179,4 +151,78 @@ func TestDecodeCacheLockstepOnWorkload(t *testing.T) {
 	if !on.StateEqual(off) {
 		t.Fatal("final states differ")
 	}
+}
+
+// TestDecodeCacheL1iFlipLockstep: L1i data flips corrupt the very words
+// the memo is keyed on, after the memo has warmed on the uncorrupted
+// text. Memo and no-memo cores take the same flip at the same cycle and
+// must then agree cycle for cycle — committed instructions every cycle,
+// and halt, output, fault-propagation class and full state at the end.
+func TestDecodeCacheL1iFlipLockstep(t *testing.T) {
+	spec, err := workload.Get("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := buildImage(t, spec.Gen(3, 1), isa.VSA64)
+	golden := New(ConfigA72(), img.NewMemory(), img.Entry)
+	if !golden.Run(1 << 26) {
+		t.Fatal("golden run did not halt")
+	}
+	limit := 2*golden.Cycle + 10000
+	l1i := ConfigA72().L1I
+	r := rand.New(rand.NewSource(7))
+	const trials = 12
+	contacted := 0
+	for i := 0; i < trials; i++ {
+		cycle := 1 + uint64(r.Int63n(int64(golden.Cycle-1)))
+		on, off := newPair(img)
+		on.Run(cycle)
+		off.Run(cycle)
+		// Flip a data bit of a line holding fetched text: an invalid
+		// line's flip is dead and would exercise nothing.
+		var valid []int
+		for e := 0; e < l1i.Lines(); e++ {
+			if on.l1i.sets[e/l1i.Assoc][e%l1i.Assoc].valid {
+				valid = append(valid, e)
+			}
+		}
+		if len(valid) == 0 {
+			t.Fatalf("trial %d: no valid L1i line at cycle %d", i, cycle)
+		}
+		entry, bit := valid[r.Intn(len(valid))], r.Intn(8*l1i.LineBytes)
+		a, b := on.Inject(StructL1I, entry, bit), off.Inject(StructL1I, entry, bit)
+		if a != b {
+			t.Fatalf("trial %d: inject info %+v with memo, %+v without", i, a, b)
+		}
+		if !a.Live {
+			t.Fatalf("trial %d: flip into valid line %d is dead", i, entry)
+		}
+		for on.Cycle < limit {
+			hOn, hOff := !on.Step(), !off.Step()
+			if hOn != hOff || on.Instret != off.Instret {
+				t.Fatalf("trial %d (cycle %d, line %d, bit %d): cores diverge at cycle %d: halted %v/%v, instret %d/%d",
+					i, cycle, entry, bit, on.Cycle, hOn, hOff, on.Instret, off.Instret)
+			}
+			if hOn {
+				break
+			}
+		}
+		if on.Bus.Halt != off.Bus.Halt || on.Bus.ExitCode != off.Bus.ExitCode || !bytes.Equal(on.Bus.Out, off.Bus.Out) {
+			t.Fatalf("trial %d: outcome differs: %v/%d vs %v/%d", i, on.Bus.Halt, on.Bus.ExitCode, off.Bus.Halt, off.Bus.ExitCode)
+		}
+		if on.Taint.Contacted() != off.Taint.Contacted() || on.Taint.Class() != off.Taint.Class() {
+			t.Fatalf("trial %d: fault propagation differs: %v/%v vs %v/%v",
+				i, on.Taint.Contacted(), on.Taint.Class(), off.Taint.Contacted(), off.Taint.Class())
+		}
+		if !on.StateEqual(off) {
+			t.Fatalf("trial %d: final states differ", i)
+		}
+		if on.Taint.Contacted() {
+			contacted++
+		}
+	}
+	if contacted == 0 {
+		t.Fatal("no flip reached the pipeline: the corrupted-word path never ran")
+	}
+	t.Logf("%d/%d flips reached the pipeline", contacted, trials)
 }

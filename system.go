@@ -78,26 +78,17 @@ type System struct {
 	// Workers is the injection-campaign fan-out (<= 0: all CPUs).
 	// Tallies are bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables golden-trace convergence early-stop (micro
-	// and arch layers) and the dead-definition filter (soft layer). The
-	// accelerations are provably outcome-preserving — tallies are
-	// bit-identical either way — so the zero value keeps them on; the
-	// switch exists for benchmarking and verification.
-	NoEarlyStop bool
-	// NoDecodeCache disables the predecoded fetch cache in the micro and
-	// arch execution models. Same contract as NoEarlyStop: provably
-	// result-neutral, off-switch for measurement only. Set before the
-	// first campaign use — the flag is baked into campaign snapshots.
-	NoDecodeCache bool
-	// NoTB disables the translation-block execution engines: the arch
-	// layer's predecoded superblock dispatch and the soft layer's
-	// compiled direct-threaded IR. Same contract as NoEarlyStop:
-	// provably result-neutral (the equivalence gate asserts bit-identical
-	// tallies), off-switch for measurement and verification only. Set
-	// before the first campaign use — the engine choice is stamped into
-	// store keys and chain fingerprints, so tb-on and tb-off runs never
-	// share persisted state.
-	NoTB bool
+	// Reference selects the reference engines, the equivalence oracle
+	// every acceleration is gated against: plain step-by-step
+	// execution at every layer, every fault run to halt or watchdog.
+	// It turns off convergence early-stop (micro, arch), the micro
+	// dead cache-line pre-check, the soft dead-definition filter and
+	// the translation-block engines (arch superblocks, soft compiled
+	// IR). Tallies are bit-identical either way, so the zero value is
+	// the fast path. Set before the first campaign use: the choice is
+	// stamped into store keys and chain fingerprints, so reference and
+	// fast runs never share persisted state.
+	Reference bool
 	// Static enables the bit-precise static resolution pass: at the soft
 	// layer, faults the interprocedural demanded-bits analysis proves
 	// Masked are classified without running (provenance-flagged records,
@@ -165,7 +156,9 @@ const DefaultSnapshots = 192
 // how they are consumed. A persisted chain is only ever reused on an
 // exact fingerprint match — a store written under different flags (or
 // a different format version) triggers a fresh golden run instead of a
-// silent mismatch.
+// silent mismatch. The three engine terms all follow Reference; they
+// keep their historical names so fast-path chains already persisted
+// keep their fingerprints.
 func (s *System) chainFingerprint(engine, config string) string {
 	return ckpt.Fingerprint(
 		engine,
@@ -174,9 +167,9 @@ func (s *System) chainFingerprint(engine, config string) string {
 		config,
 		fmt.Sprintf("snapshots=%d", s.Snapshots),
 		fmt.Sprintf("ram=%d", RAMSize),
-		fmt.Sprintf("earlystop=%v", !s.NoEarlyStop),
-		fmt.Sprintf("decodecache=%v", !s.NoDecodeCache),
-		fmt.Sprintf("tb=%v", !s.NoTB),
+		fmt.Sprintf("earlystop=%v", !s.Reference),
+		fmt.Sprintf("decodecache=%v", !s.Reference),
+		fmt.Sprintf("tb=%v", !s.Reference),
 	)
 }
 
@@ -224,9 +217,6 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 	if cp, ok := s.microC[cfg.Name]; ok {
 		return cp, nil
 	}
-	// The decode-cache switch is part of the core configuration (baked
-	// into the golden snapshots), so it must be set before Prepare.
-	cfg.NoDecodeCache = s.NoDecodeCache
 	fp := s.chainFingerprint(inject.Engine, cfg.Name)
 	cp, err := (*inject.Campaign)(nil), error(nil)
 	if ch := s.loadChain(fp); ch != nil {
@@ -241,7 +231,7 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 		s.saveChain(fp, cp.Chain())
 	}
 	cp.Workers = s.Workers
-	cp.NoEarlyStop = s.NoEarlyStop
+	cp.Reference = s.Reference
 	s.microC[cfg.Name] = cp
 	return cp, nil
 }
@@ -258,15 +248,13 @@ func (s *System) ArchCampaign() (*arch.Campaign, error) {
 			cp, _ = arch.PrepareFromChain(s.Image, ch)
 		}
 		if cp == nil {
-			if cp, err = arch.PrepareWith(s.Image, s.Snapshots, arch.PrepareOptions{NoTB: s.NoTB}); err != nil {
+			if cp, err = arch.PrepareWith(s.Image, s.Snapshots, arch.PrepareOptions{Reference: s.Reference}); err != nil {
 				return nil, err
 			}
 			s.saveChain(fp, cp.Chain())
 		}
 		cp.Workers = s.Workers
-		cp.NoEarlyStop = s.NoEarlyStop
-		cp.NoDecodeCache = s.NoDecodeCache
-		cp.NoTB = s.NoTB
+		cp.Reference = s.Reference
 		s.archC = cp
 	}
 	return s.archC, nil
@@ -281,16 +269,13 @@ func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.llfiC == nil {
-		// With the dead-def filter disabled there is no point paying the
-		// golden-run def-use tracking that feeds it.
-		cp, err := llfi.PrepareWith(s.IR, RAMSize, llfi.PrepareOptions{NoDeadDefFilter: s.NoEarlyStop})
+		cp, err := llfi.Prepare(s.IR, RAMSize)
 		if err != nil {
 			return nil, err
 		}
 		cp.Workers = s.Workers
-		cp.NoEarlyStop = s.NoEarlyStop
+		cp.Reference = s.Reference
 		cp.Static = s.Static
-		cp.NoTB = s.NoTB
 		s.llfiC = cp
 	}
 	return s.llfiC, nil
@@ -325,12 +310,12 @@ func (s *System) MicroKey(cfg micro.Config, st micro.Structure, seed int64) resu
 }
 
 // tbMode stamps the execution-engine provenance into a store key Mode:
-// records produced under the translation-block engine are never mixed
-// with step-engine records in a warm store — even though the tallies
-// are provably identical, reuse across engines would make the
-// equivalence gate vacuous for anything already persisted.
+// records produced by the fast path are never mixed with Reference
+// records in a warm store — even though the tallies are provably
+// identical, reuse across engines would make the equivalence gate
+// vacuous for anything already persisted.
 func (s *System) tbMode(base string) string {
-	if s.NoTB {
+	if s.Reference {
 		return base
 	}
 	if base == "" {

@@ -12,31 +12,33 @@ import (
 // TestTranslationBlockEquivalenceAllBenchmarks is the acceptance gate
 // of the translation-block engine: on every seed benchmark, at both
 // layers that execute through it (arch emulator, IR interpreter), for
-// one and several workers, block-at-a-time dispatch must produce
-// tallies bit-identical to the step-by-step engines. The tb-on and
-// tb-off systems build their golden chains independently through their
-// respective engines, so an engine bug cannot corrupt both sides of
-// the comparison.
+// one and several workers, the fast path's block-at-a-time dispatch
+// must produce tallies bit-identical to the Reference step engines.
+// The two systems build their golden chains independently through
+// their own engines, so an engine bug cannot corrupt both sides of the
+// comparison. It draws its faults from a different seed than
+// TestAccelerationEquivalenceAllBenchmarks, so the two gates check
+// disjoint samples instead of repeating the same runs.
 func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 	const (
 		nArch = 16
 		nSoft = 30
-		seed  = 2021
+		seed  = 2022
 	)
 	for _, bench := range Benchmarks() {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			mk := func(off bool) *System {
+			mk := func(reference bool) *System {
 				sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys.Snapshots = 6
-				sys.NoTB = off
+				sys.Reference = reference
 				return sys
 			}
-			tbOn, tbOff := mk(false), mk(true)
+			fast, ref := mk(false), mk(true)
 
 			layer := func(sys *System, name string, workers int) results.Tally {
 				sys.Workers = workers
@@ -58,11 +60,11 @@ func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 				}
 			}
 			for _, name := range []string{"arch", "soft"} {
-				ref := layer(tbOff, name, 1)
+				want := layer(ref, name, 1)
 				for _, workers := range []int{1, 3} {
-					if got := layer(tbOn, name, workers); got != ref {
-						t.Errorf("%s layer, %d workers: tb tally %+v, step-by-step %+v",
-							name, workers, got, ref)
+					if got := layer(fast, name, workers); got != want {
+						t.Errorf("%s layer, %d workers: tb tally %+v, Reference %+v",
+							name, workers, got, want)
 					}
 				}
 			}
@@ -73,10 +75,10 @@ func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 // TestTranslationBlockSMCInvalidation drives the code-corruption path
 // that makes translation caching unsound if invalidation misses: WI and
 // WOI arch faults flip instruction-word bits in memory, exactly where
-// predecoded blocks could go stale. The tb-on campaign runs in Paranoid
+// predecoded blocks could go stale. The fast campaign runs in Paranoid
 // mode — every dispatched op is refetched from memory and compared to
 // its predecoded copy, and executing a stale op panics — so this test
-// passing means (a) tallies match the step-by-step engine and (b) no
+// passing means (a) tallies match the Reference step engine and (b) no
 // stale block was ever dispatched while the checks were demonstrably
 // exercised.
 func TestTranslationBlockSMCInvalidation(t *testing.T) {
@@ -88,11 +90,11 @@ func TestTranslationBlockSMCInvalidation(t *testing.T) {
 		fpm := fpm
 		t.Run(fpm.String(), func(t *testing.T) {
 			t.Parallel()
-			mk := func(off bool) *System {
+			mk := func(reference bool) *System {
 				sys := shaSystem(t)
 				sys.Workers = 2
 				sys.Snapshots = 6
-				sys.NoTB = off
+				sys.Reference = reference
 				return sys
 			}
 			on, off := mk(false), mk(true)
@@ -120,18 +122,19 @@ func TestTranslationBlockSMCInvalidation(t *testing.T) {
 }
 
 // TestStoreTBProvenanceKeys guards record provenance: measurements made
-// through the translation-block engine are stamped with a distinct
-// store-key Mode, so a tb-off campaign over the same store can never be
-// served records a different engine produced (and vice versa).
+// on the fast path (translation-block engines) are stamped with a
+// distinct store-key Mode, so a Reference campaign over the same store
+// can never be served records a different engine produced (and vice
+// versa).
 func TestStoreTBProvenanceKeys(t *testing.T) {
 	st := openStore(t)
 
 	a := storedSystem(t, st)
 	if got := a.ArchKey(micro.FPMWD, 7).Mode; got != "tb" {
-		t.Fatalf("tb-on arch key Mode = %q, want \"tb\"", got)
+		t.Fatalf("fast arch key Mode = %q, want \"tb\"", got)
 	}
 	if got := a.SoftKey(7).Mode; got != "tb" {
-		t.Fatalf("tb-on soft key Mode = %q, want \"tb\"", got)
+		t.Fatalf("fast soft key Mode = %q, want \"tb\"", got)
 	}
 	if _, err := a.PVF(micro.FPMWD, 12, 7); err != nil {
 		t.Fatal(err)
@@ -141,20 +144,20 @@ func TestStoreTBProvenanceKeys(t *testing.T) {
 	}
 
 	b := storedSystem(t, st)
-	b.NoTB = true
+	b.Reference = true
 	if got := b.ArchKey(micro.FPMWD, 7).Mode; got != "" {
-		t.Fatalf("tb-off arch key Mode = %q, want \"\"", got)
+		t.Fatalf("reference arch key Mode = %q, want \"\"", got)
 	}
 	if got := b.SoftKey(7).Mode; got != "" {
-		t.Fatalf("tb-off soft key Mode = %q, want \"\"", got)
+		t.Fatalf("reference soft key Mode = %q, want \"\"", got)
 	}
-	// The tb-on run must not have populated the tb-off keys.
+	// The fast run must not have populated the reference keys.
 	for _, k := range []results.Key{b.ArchKey(micro.FPMWD, 7), b.SoftKey(7)} {
 		if _, ok, err := st.Manifest(k); err != nil || ok {
-			t.Fatalf("manifest for tb-off key %v: ok=%v err=%v (tb records leaked across engines)", k, ok, err)
+			t.Fatalf("manifest for reference key %v: ok=%v err=%v (tb records leaked across engines)", k, ok, err)
 		}
 	}
-	// A tb-off measurement over the warm store therefore re-injects
+	// A reference measurement over the warm store therefore re-injects
 	// (builds injectors) instead of replaying the tb records.
 	if _, err := b.PVF(micro.FPMWD, 12, 7); err != nil {
 		t.Fatal(err)
@@ -165,7 +168,7 @@ func TestStoreTBProvenanceKeys(t *testing.T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.archC == nil || b.llfiC == nil {
-		t.Fatalf("tb-off system served from tb manifests without re-injecting (arch=%v llfi=%v)",
+		t.Fatalf("reference system served from tb manifests without re-injecting (arch=%v llfi=%v)",
 			b.archC != nil, b.llfiC != nil)
 	}
 }

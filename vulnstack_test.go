@@ -108,6 +108,16 @@ func TestLabCaching(t *testing.T) {
 	}
 }
 
+// TestLabDefaults: every unset option falls back to DefaultOptions, the
+// one source of lab defaults.
+func TestLabDefaults(t *testing.T) {
+	d := DefaultOptions()
+	o := NewLab(Options{}).Opts
+	if o.NAVF != d.NAVF || o.NPVF != d.NPVF || o.NSVF != d.NSVF || o.Snapshots != d.Snapshots {
+		t.Fatalf("NewLab(Options{}) = %+v, want the DefaultOptions sizes %+v", o, d)
+	}
+}
+
 func TestFPMDistSums(t *testing.T) {
 	lab := NewLab(tinyOpts())
 	s, err := lab.System(Target{Bench: "sha"}, isa.VSA64)
