@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-analyzers race check cover bench bench-short bench-agg bench-strat bench-strat-short gobench
+.PHONY: all build test vet lint vet-analyzers race check fuzz-short cover bench bench-short bench-agg bench-strat bench-strat-short gobench
 
 all: check
 
@@ -34,6 +34,13 @@ test:
 # timeout; race and check raise it for every package.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# fuzz-short runs each fuzz target for 10s beyond its seed corpus. Go
+# fuzzes one target per invocation, hence one go test per target.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNeverPanics$$' -fuzztime 10s ./internal/asm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInstrRoundTrip$$' -fuzztime 10s ./internal/asm
+	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime 10s ./internal/results
 
 # cover writes a coverage profile and prints the per-package and total
 # coverage summary.

@@ -392,10 +392,18 @@ func benchAgg(rows int, seed int64) (*AggBench, error) {
 
 	// JSONL baseline: re-parse the interchange file and tally, exactly
 	// the pre-columnar load path.
-	if err := store.SaveJSONL(k, recs); err != nil {
+	jsonlFile := filepath.Join(dir, "baseline.jsonl")
+	jf, err := os.Create(jsonlFile)
+	if err != nil {
 		return nil, err
 	}
-	jsonlFile := filepath.Join(dir, k.ID()+results.JSONLExt)
+	if err := results.WriteJSONL(jf, recs); err != nil {
+		jf.Close()
+		return nil, err
+	}
+	if err := jf.Close(); err != nil {
+		return nil, err
+	}
 	jst, err := os.Stat(jsonlFile)
 	if err != nil {
 		return nil, err

@@ -60,10 +60,7 @@ type Lab struct {
 
 	mu      sync.Mutex
 	systems map[string]*System
-	memoAVF map[string]avfMemo
-	memoPVF map[string]vuln.Split
-	memoSVF map[string]vuln.Split
-	// flights deduplicates concurrent fills of the same memo key
+	// flights memoizes every system build and campaign result by key
 	// (single-flight), so cross-bench parallel figure generation never
 	// builds a system or runs a campaign twice.
 	flights map[string]*flight
@@ -87,22 +84,28 @@ type flight struct {
 }
 
 // once runs fn exactly once per key across concurrent callers; later
-// callers block until the first finishes and share its result. The
-// durable memo maps remain the long-term cache — once only serializes
-// the in-flight window.
-func (l *Lab) once(key string, fn func() (any, error)) (any, error) {
+// callers block until the first finishes and share its result. Flights
+// are never dropped, so once is also the lab's memo: every value and
+// every error lives as long as the Lab.
+func once[T any](l *Lab, key string, fn func() (T, error)) (T, error) {
 	l.mu.Lock()
-	if f, ok := l.flights[key]; ok {
-		l.mu.Unlock()
-		<-f.done
-		return f.val, f.err
+	f, ok := l.flights[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		l.flights[key] = f
 	}
-	f := &flight{done: make(chan struct{})}
-	l.flights[key] = f
 	l.mu.Unlock()
-	f.val, f.err = fn()
-	close(f.done)
-	return f.val, f.err
+	if ok {
+		<-f.done
+	} else {
+		f.val, f.err = fn()
+		close(f.done)
+	}
+	if f.err != nil {
+		var zero T
+		return zero, f.err
+	}
+	return f.val.(T), nil
 }
 
 // fill runs the given memo-filling closures, fanning them out when the
@@ -155,9 +158,6 @@ func NewLab(o Options) *Lab {
 	return &Lab{
 		Opts:    o,
 		systems: make(map[string]*System),
-		memoAVF: make(map[string]avfMemo),
-		memoPVF: make(map[string]vuln.Split),
-		memoSVF: make(map[string]vuln.Split),
 		flights: make(map[string]*flight),
 	}
 }
@@ -182,13 +182,7 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 		t.Seed = l.Opts.Seed
 	}
 	key := t.key() + "/" + is.String()
-	l.mu.Lock()
-	if s, ok := l.systems[key]; ok {
-		l.mu.Unlock()
-		return s, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("sys/"+key, func() (any, error) {
+	return once(l, "sys/"+key, func() (*System, error) {
 		st, err := l.Store()
 		if err != nil {
 			return nil, err
@@ -205,105 +199,50 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 		l.mu.Unlock()
 		return s, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*System), nil
 }
 
 func (l *Lab) avf(t Target, cfg micro.Config) ([]StructResult, vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF)
-	l.mu.Lock()
-	if m, ok := l.memoAVF[key]; ok {
-		l.mu.Unlock()
-		return m.results, m.weighted, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("avf/"+key, func() (any, error) {
+	key := fmt.Sprintf("avf/%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF)
+	m, err := once(l, key, func() (avfMemo, error) {
 		s, err := l.System(t, cfg.ISA)
 		if err != nil {
-			return nil, err
+			return avfMemo{}, err
 		}
 		res, w, err := s.AVFAll(cfg, l.Opts.NAVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m := avfMemo{res, w}
-		l.mu.Lock()
-		l.memoAVF[key] = m
-		l.mu.Unlock()
-		return m, nil
+		return avfMemo{res, w}, err
 	})
-	if err != nil {
-		return nil, vuln.Split{}, err
-	}
-	m := v.(avfMemo)
-	return m.results, m.weighted, nil
+	return m.results, m.weighted, err
 }
 
 func (l *Lab) pvf(t Target, is isa.ISA, fpm micro.FPM) (vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF)
-	l.mu.Lock()
-	if m, ok := l.memoPVF[key]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("pvf/"+key, func() (any, error) {
+	key := fmt.Sprintf("pvf/%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF)
+	return once(l, key, func() (vuln.Split, error) {
 		s, err := l.System(t, is)
 		if err != nil {
-			return nil, err
+			return vuln.Split{}, err
 		}
-		sp, err := s.PVF(fpm, l.Opts.NPVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.memoPVF[key] = sp
-		l.mu.Unlock()
-		return sp, nil
+		return s.PVF(fpm, l.Opts.NPVF, l.Opts.Seed)
 	})
-	if err != nil {
-		return vuln.Split{}, err
-	}
-	return v.(vuln.Split), nil
 }
 
 func (l *Lab) svf(t Target) (vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%d", t.key(), l.Opts.NSVF)
-	l.mu.Lock()
-	if m, ok := l.memoSVF[key]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("svf/"+key, func() (any, error) {
+	key := fmt.Sprintf("svf/%s/%d", t.key(), l.Opts.NSVF)
+	return once(l, key, func() (vuln.Split, error) {
 		s, err := l.System(t, isa.VSA64)
 		if err != nil {
-			return nil, err
+			return vuln.Split{}, err
 		}
-		sp, err := s.SVF(l.Opts.NSVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.memoSVF[key] = sp
-		l.mu.Unlock()
-		return sp, nil
+		return s.SVF(l.Opts.NSVF, l.Opts.Seed)
 	})
-	if err != nil {
-		return vuln.Split{}, err
-	}
-	return v.(vuln.Split), nil
 }
 
 // Experiments lists the reproducible artifacts. "static" is the

@@ -5,9 +5,8 @@
 // memory is bounded by one block regardless of campaign size, and a
 // consumer that only tallies outcomes never decodes the coordinate,
 // entry or target columns at all (projection pushdown). JSONL remains
-// the interchange/debug format — WriteJSONL/ReadJSONL are the lossless
-// two-way converter the store's migration and export paths are built
-// on.
+// the interchange/debug format: WriteJSONL/ReadJSONL convert both ways
+// without loss.
 package results
 
 import (
@@ -355,7 +354,7 @@ func (c *Cursor) Close() error {
 // next returns the next block and the number of its rows to serve
 // (manifest-truncated), or ok=false at the end of the promised records.
 // A segment that ends — cleanly or torn — before the manifest count is
-// satisfied is corruption, mirroring the JSONL short-file check.
+// satisfied is corruption.
 func (c *Cursor) next() (*colseg.Block, int, bool, error) {
 	if c.remaining <= 0 {
 		return nil, 0, false, nil
@@ -516,24 +515,20 @@ func (c *Cursor) Records() ([]Record, error) {
 }
 
 // WriteJSONL writes records in the JSONL interchange/debug format, one
-// JSON object per line — the inverse of ReadJSONL and the export half
-// of the lossless JSONL<->columnar converter pair.
+// JSON object per line — the inverse of ReadJSONL.
 func WriteJSONL(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	for _, r := range recs {
-		data, err := json.Marshal(r)
-		if err != nil {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
-		bw.Write(data)
-		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
 
 // ReadJSONL parses up to n JSONL records (n < 0: all). Blank lines are
-// skipped; trailing lines beyond n are ignored (a crashed JSONL append
-// leaves exactly those).
+// skipped; lines beyond n are ignored.
 func ReadJSONL(r io.Reader, n int) ([]Record, error) {
 	var recs []Record
 	if n > 0 {

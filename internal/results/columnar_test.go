@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vulnstack/internal/colseg"
@@ -173,47 +174,13 @@ func TestFilterPushdownMatchesReference(t *testing.T) {
 	}
 }
 
-func TestStoreMigratesLegacyJSONLOnFirstTouch(t *testing.T) {
-	s := testStore(t)
-	k := Key{Layer: "micro", Target: "legacy", Config: "A72", Struct: "RF", Seed: 3}
-	recs := randomRecords(1200, 7)
-	if err := s.SaveJSONL(k, recs); err != nil {
-		t.Fatal(err)
-	}
-	m, ok, err := s.Manifest(k)
-	if err != nil || !ok || m.Format != FormatJSONL {
-		t.Fatalf("manifest %+v ok=%v err=%v", m, ok, err)
-	}
-	got, ok, err := s.Load(k)
-	if err != nil || !ok || len(got) != len(recs) {
-		t.Fatalf("load: %d records ok=%v err=%v", len(got), ok, err)
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch after migration", i)
-		}
-	}
-	// First touch flipped the campaign to columnar and dropped the
-	// interchange file.
-	m, _, err = s.Manifest(k)
-	if err != nil || m.Format != FormatColumnar {
-		t.Fatalf("post-migration manifest %+v err=%v", m, err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), k.ID()+JSONLExt)); !os.IsNotExist(err) {
-		t.Fatalf("jsonl survived migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), k.ID()+SegExt)); err != nil {
-		t.Fatalf("segment missing: %v", err)
-	}
-}
-
-func TestStoreAppendAfterMigration(t *testing.T) {
-	// A legacy campaign tops up through the columnar path and stays
-	// bit-identical to a one-shot save.
+func TestStoreAppendTopUp(t *testing.T) {
+	// A saved campaign topped up by Append stays bit-identical to a
+	// one-shot save, and every prefix tallies like its records.
 	s := testStore(t)
 	k := Key{Layer: "soft", Target: "topup", Seed: 9}
 	all := randomRecords(900, 13)
-	if err := s.SaveJSONL(k, all[:400]); err != nil {
+	if err := s.Save(k, all[:400]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(k, all[400:]); err != nil {
@@ -316,52 +283,92 @@ func TestStoreExportJSONLRoundTrip(t *testing.T) {
 	if err := s.Save(k, recs); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.ExportJSONL(k.ID(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf, -1)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("reimport: %d err=%v", len(got), err)
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch through export", i)
+	sdc := Filter{Outcomes: []Outcome{SDC}}
+	for _, f := range []Filter{{}, sdc} {
+		var want []Record
+		for _, r := range recs {
+			if f.Match(r) {
+				want = append(want, r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.ExportJSONL(k.ID(), f, &buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJSONL(&buf, -1)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("filter %+v: reimported %d of %d, err=%v", f, len(got), len(want), err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("filter %+v: record %d mismatch through export", f, i)
+			}
 		}
 	}
 }
 
-func TestStoreCompact(t *testing.T) {
-	s := testStore(t)
-	kj := Key{Layer: "micro", Target: "j", Config: "A72", Struct: "RF", Seed: 1}
-	kc := Key{Layer: "soft", Target: "c", Seed: 2}
-	if err := s.SaveJSONL(kj, randomRecords(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(kc, randomRecords(50, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Campaigns != 2 || st.Migrated != 1 || st.JSONLBytes == 0 || st.SegBytes == 0 {
-		t.Fatalf("compact stats %+v", st)
-	}
-	ms, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range ms {
-		if m.Format != FormatColumnar {
-			t.Fatalf("campaign %s still %s after compact", m.Key.ID(), m.Format)
+func TestStoreRefusesPreColumnar(t *testing.T) {
+	// Manifests written before the columnar store (no format field, or
+	// "jsonl") are refused on every path with an error naming the
+	// campaign; List must not silently skip them.
+	for _, format := range []string{``, `,"format":"jsonl"`} {
+		s := testStore(t)
+		k := Key{Layer: "soft", Target: "old", Seed: 5}
+		id := k.ID()
+		manifest := `{"schema":3,"key":{"layer":"soft","target":"old","seed":5},"n":2` + format + `}`
+		if err := os.WriteFile(filepath.Join(s.Dir(), id+".json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, loadErr := s.Load(k)
+		_, _, cursorErr := s.Cursor(k, Filter{})
+		_, tallyErr := s.TallyPrefix(k, 2)
+		appendErr := s.Append(k, []Record{{Index: 2}})
+		_, listErr := s.List()
+		for _, c := range []struct {
+			name string
+			err  error
+		}{{"Load", loadErr}, {"Cursor", cursorErr}, {"TallyPrefix", tallyErr}, {"Append", appendErr}, {"List", listErr}} {
+			if c.err == nil || !strings.Contains(c.err.Error(), id) || !errors.Is(c.err, errPreColumnar) {
+				t.Errorf("manifest %s: %s err=%v, want the pre-columnar refusal naming %s", manifest, c.name, c.err, id)
+			}
 		}
 	}
-	// Idempotent.
-	st, err = s.Compact()
-	if err != nil || st.Migrated != 0 {
-		t.Fatalf("second compact %+v err=%v", st, err)
+}
+
+// FuzzReadManifest: the manifest decoder never panics; every input
+// either decodes to a manifest that passes validation or is an error.
+func FuzzReadManifest(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema":3,"key":{"layer":"micro","target":"sha","config":"A72","struct":"RF","seed":2021},"n":30,"format":"columnar"}`,
+		`{"schema":3,"key":{"layer":"soft","target":"sha","seed":2021},"n":30}`,
+		`{"schema":2,"key":{"layer":"arch","target":"sha","struct":"WD","seed":1},"n":4,"format":"jsonl"}`,
+		`{"schema":0,"key":{"layer":"soft","target":"x","seed":1},"n":1,"format":"columnar"}`,
+		`{"schema":4,"key":{"layer":"soft","target":"x","seed":1},"n":1,"format":"columnar"}`,
+		`{"schema":3,"key":{"layer":"soft","target":"x","seed":1},"n":1,"format":"parquet"}`,
+		`{"schema":3,"key":{"layer":"soft","tar`,
+	} {
+		f.Add([]byte(seed))
 	}
+	s, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	const id = "0123456789abcdef"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(s.Dir(), id+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := s.readManifest(id)
+		if err != nil {
+			if ok {
+				t.Fatalf("error %v with ok=true", err)
+			}
+			return
+		}
+		if !ok || m.Schema < 1 || m.Schema > SchemaVersion || m.Format != FormatColumnar {
+			t.Fatalf("accepted invalid manifest %+v ok=%v from %q", m, ok, data)
+		}
+	})
 }
 
 func TestParseOutcomeFPM(t *testing.T) {

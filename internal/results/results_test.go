@@ -151,11 +151,16 @@ func TestStoreList(t *testing.T) {
 	if ms[0].Key != kb || ms[1].Key != ka {
 		t.Fatalf("order %+v", ms)
 	}
-	m, recs, err := s.LoadID(ka.ID())
-	if err != nil || m.Key != ka || len(recs) != 1 {
-		t.Fatalf("LoadID: %+v %d err=%v", m, len(recs), err)
+	m, c, err := s.CursorID(ka.ID(), Filter{})
+	if err != nil || m.Key != ka {
+		t.Fatalf("CursorID: %+v err=%v", m, err)
 	}
-	if _, _, err := s.LoadID("nope"); err == nil {
+	recs, err := c.Records()
+	c.Close()
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("CursorID records: %d err=%v", len(recs), err)
+	}
+	if _, _, err := s.CursorID("nope", Filter{}); err == nil {
 		t.Fatal("unknown id must error")
 	}
 }

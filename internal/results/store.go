@@ -7,11 +7,9 @@
 // prefix of the n=2000 campaign, so topping up appends only the missing
 // records and the merged tally is bit-identical to a one-shot run.
 //
-// JSONL is retained as the interchange/debug format: stores written by
-// earlier versions (or via SaveJSONL/ExportJSONL round trips) are
-// migrated to columnar segments losslessly on first touch, and the
-// manifest's Format field records which representation a campaign is
-// currently in.
+// Columnar segments are the store's only record format. JSONL is
+// interchange only (WriteJSONL/ReadJSONL/ExportJSONL); campaigns stored
+// as JSONL by earlier versions are refused with an error naming them.
 package results
 
 import (
@@ -19,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,20 +36,16 @@ import (
 // than silently misaggregating.
 const SchemaVersion = 3
 
-// Storage formats a campaign's records may be in on disk. The columnar
-// segment is the native format; JSONL is interchange/debug, kept
-// readable (and migrated on first touch) for stores written before the
-// columnar plane existed.
-const (
-	FormatJSONL    = "jsonl"
-	FormatColumnar = "columnar"
-)
+// FormatColumnar is the manifest's record format: a columnar segment,
+// the only one the store reads or writes.
+const FormatColumnar = "columnar"
 
-// Record file extensions by format.
-const (
-	JSONLExt = ".jsonl"
-	SegExt   = ".seg"
-)
+// SegExt is the file extension of a campaign's record segment.
+const SegExt = ".seg"
+
+// errPreColumnar marks a manifest written before the columnar store:
+// its records are a JSONL file this store no longer reads.
+var errPreColumnar = errors.New("results: pre-columnar campaign")
 
 // Key is the full identity of one stored campaign. Two runs with equal
 // keys draw identical fault sequences, so their record sets are
@@ -95,9 +90,8 @@ type Manifest struct {
 	Key    Key `json:"key"`
 	// N is the number of records on disk (grows on top-up).
 	N int `json:"n"`
-	// Format is the record file representation: FormatColumnar for
-	// native segments, FormatJSONL (or empty, in manifests written
-	// before the columnar plane) for the interchange format.
+	// Format is always FormatColumnar. Manifests written before the
+	// columnar store carry no format field or "jsonl"; they are refused.
 	Format string `json:"format,omitempty"`
 }
 
@@ -120,11 +114,11 @@ func OpenStore(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) manifestPath(id string) string { return filepath.Join(s.dir, id+".json") }
-func (s *Store) jsonlPath(id string) string    { return filepath.Join(s.dir, id+JSONLExt) }
 func (s *Store) segPath(id string) string      { return filepath.Join(s.dir, id+SegExt) }
 
-// readManifest loads a manifest by id; ok=false when absent. Manifests
-// from before the columnar plane carry no format field and mean JSONL.
+// readManifest loads a manifest by id; ok=false when absent. It is the
+// single check of manifest bytes: schema, then format, refusing
+// pre-columnar campaigns.
 func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	data, err := os.ReadFile(s.manifestPath(id))
 	if os.IsNotExist(err) {
@@ -140,13 +134,15 @@ func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	if m.Schema < 1 || m.Schema > SchemaVersion {
 		return Manifest{}, false, fmt.Errorf("results: manifest %s has schema %d, want 1..%d", id, m.Schema, SchemaVersion)
 	}
-	if m.Format == "" {
-		m.Format = FormatJSONL
+	switch m.Format {
+	case FormatColumnar:
+		return m, true, nil
+	case "", "jsonl":
+		return Manifest{}, false, fmt.Errorf("%w %s: its records are JSONL, which this store no longer reads; "+
+			"re-run the campaign into a fresh store, or convert it with an earlier vulnstack's `results compact`",
+			errPreColumnar, id)
 	}
-	if m.Format != FormatJSONL && m.Format != FormatColumnar {
-		return Manifest{}, false, fmt.Errorf("results: manifest %s has unknown format %q", id, m.Format)
-	}
-	return m, true, nil
+	return Manifest{}, false, fmt.Errorf("results: manifest %s has unknown format %q", id, m.Format)
 }
 
 func (s *Store) writeManifest(m Manifest) error {
@@ -167,159 +163,80 @@ func (s *Store) writeManifest(m Manifest) error {
 func (s *Store) Manifest(k Key) (Manifest, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.manifestFor(k)
+	return s.manifestFor(k.ID(), &k)
 }
 
-func (s *Store) manifestFor(k Key) (Manifest, bool, error) {
-	m, ok, err := s.readManifest(k.ID())
+// manifestFor reads the manifest of campaign id; a non-nil want must
+// match the stored key. Callers hold s.mu.
+func (s *Store) manifestFor(id string, want *Key) (Manifest, bool, error) {
+	m, ok, err := s.readManifest(id)
 	if err != nil || !ok {
 		return Manifest{}, ok, err
 	}
-	if m.Key != k {
-		return Manifest{}, false, fmt.Errorf("results: id collision: %q vs %q", m.Key, k)
+	if want != nil && m.Key != *want {
+		return Manifest{}, false, fmt.Errorf("results: id collision: %q vs %q", m.Key, *want)
 	}
 	return m, true, nil
 }
 
-// migrate converts a legacy JSONL campaign to a columnar segment and
-// returns the updated manifest. Lossless: the segment holds exactly the
-// manifest-promised records (trailing crash-debris JSONL lines are
-// dropped, as loads always dropped them). The segment is renamed into
-// place before the manifest flips format, so a crash mid-migration
-// leaves the campaign readable either way; the JSONL file is removed
-// last, best-effort. Callers hold s.mu.
-func (s *Store) migrate(id string, m Manifest) (Manifest, error) {
-	recs, err := s.readJSONLRecords(id, m.N)
-	if err != nil {
-		return Manifest{}, err
+// open reads the manifest of campaign id and opens a cursor over its
+// first n records (all of them when n < 0) with f pushed down; ok=false
+// when the campaign has never been stored. A non-nil want must match
+// the stored key. Every read goes through here. The cursor is used (and
+// closed) outside s.mu — safe because writers never rewrite served
+// bytes, they only append past them. The caller must Close it.
+func (s *Store) open(id string, want *Key, n int, f Filter) (Manifest, *Cursor, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok, err := s.manifestFor(id, want)
+	if err != nil || !ok {
+		return Manifest{}, nil, ok, err
 	}
-	tmp := s.segPath(id) + ".tmp"
-	os.Remove(tmp)
-	if err := os.WriteFile(tmp, encodeColumnar(recs), 0o644); err != nil {
-		return Manifest{}, err
+	if n < 0 {
+		n = m.N
 	}
-	if err := os.Rename(tmp, s.segPath(id)); err != nil {
-		return Manifest{}, err
+	if m.N < n {
+		return Manifest{}, nil, false, fmt.Errorf("results: campaign %q has %d records, want prefix %d", m.Key, m.N, n)
 	}
-	m.Format = FormatColumnar
-	if err := s.writeManifest(m); err != nil {
-		return Manifest{}, err
-	}
-	os.Remove(s.jsonlPath(id))
-	return m, nil
-}
-
-// native ensures the campaign is in columnar form, migrating legacy
-// JSONL on first touch. Callers hold s.mu.
-func (s *Store) native(id string, m Manifest) (Manifest, error) {
-	if m.Format == FormatColumnar {
-		return m, nil
-	}
-	return s.migrate(id, m)
-}
-
-// cursor opens a streaming cursor over the first n records of a
-// columnar campaign. Callers hold s.mu; the returned cursor is used
-// (and closed) outside it — safe because writers never rewrite served
-// bytes, they only append past them.
-func (s *Store) cursor(id string, n int, f Filter) (*Cursor, error) {
 	file, err := os.Open(s.segPath(id))
 	if err != nil {
-		return nil, err
+		return Manifest{}, nil, false, err
 	}
-	return newCursor(file, file, id, n, f), nil
+	return m, newCursor(file, file, id, n, f), true, nil
 }
 
 // Load returns the stored records for k in index order; ok=false when
 // the campaign has never been stored.
 func (s *Store) Load(k Key) ([]Record, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok, err := s.manifestFor(k)
+	_, c, ok, err := s.open(k.ID(), &k, -1, Filter{})
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	recs, err := s.loadRecords(k.ID(), m)
+	defer c.Close()
+	recs, err := c.Records()
 	if err != nil {
 		return nil, false, err
 	}
 	return recs, true, nil
 }
 
-// LoadID loads a stored campaign by its id (the results CLI surface).
-func (s *Store) LoadID(id string) (Manifest, []Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok, err := s.readManifest(id)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	if !ok {
-		return Manifest{}, nil, fmt.Errorf("results: no stored campaign %q", id)
-	}
-	recs, err := s.loadRecords(id, m)
-	return m, recs, err
-}
-
-// loadRecords materializes a campaign's records, migrating legacy JSONL
-// to columnar on first touch. Callers hold s.mu.
-func (s *Store) loadRecords(id string, m Manifest) ([]Record, error) {
-	m, err := s.native(id, m)
-	if err != nil {
-		return nil, err
-	}
-	c, err := s.cursor(id, m.N, Filter{})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return c.Records()
-}
-
 // Cursor opens a streaming cursor over the stored records for k with
 // the filter pushed down (only the columns the filter and the consumer
 // read are ever decoded); ok=false when the campaign has never been
-// stored. Legacy JSONL campaigns are migrated on first touch. The
-// caller must Close the cursor.
+// stored. The caller must Close the cursor.
 func (s *Store) Cursor(k Key, f Filter) (*Cursor, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok, err := s.manifestFor(k)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	m, err = s.native(k.ID(), m)
-	if err != nil {
-		return nil, false, err
-	}
-	c, err := s.cursor(k.ID(), m.N, f)
-	if err != nil {
-		return nil, false, err
-	}
-	return c, true, nil
+	_, c, ok, err := s.open(k.ID(), &k, -1, f)
+	return c, ok, err
 }
 
 // CursorID opens a streaming filtered cursor by campaign id (the
 // results CLI surface). The caller must Close the cursor.
 func (s *Store) CursorID(id string, f Filter) (Manifest, *Cursor, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok, err := s.readManifest(id)
-	if err != nil {
-		return Manifest{}, nil, err
+	m, c, ok, err := s.open(id, nil, -1, f)
+	if err == nil && !ok {
+		err = fmt.Errorf("results: no stored campaign %q", id)
 	}
-	if !ok {
-		return Manifest{}, nil, fmt.Errorf("results: no stored campaign %q", id)
-	}
-	m, err = s.native(id, m)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	c, err := s.cursor(id, m.N, f)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	return m, c, nil
+	return m, c, err
 }
 
 // TallyPrefix aggregates the first n stored records of k through the
@@ -327,22 +244,10 @@ func (s *Store) CursorID(id string, f Filter) (Manifest, *Cursor, error) {
 // and FPM columns decoded. The result is bit-identical to
 // TallyOf(Load(k)[:n]).
 func (s *Store) TallyPrefix(k Key, n int) (Tally, error) {
-	s.mu.Lock()
-	m, ok, err := s.manifestFor(k)
+	_, c, ok, err := s.open(k.ID(), &k, n, Filter{})
 	if err == nil && !ok {
 		err = fmt.Errorf("results: no stored campaign %q", k)
 	}
-	if err == nil && m.N < n {
-		err = fmt.Errorf("results: campaign %q has %d records, want prefix %d", k, m.N, n)
-	}
-	var c *Cursor
-	if err == nil {
-		m, err = s.native(k.ID(), m)
-	}
-	if err == nil {
-		c, err = s.cursor(k.ID(), n, Filter{})
-	}
-	s.mu.Unlock()
 	if err != nil {
 		return Tally{}, err
 	}
@@ -350,31 +255,10 @@ func (s *Store) TallyPrefix(k Key, n int) (Tally, error) {
 	return c.Tally()
 }
 
-// readJSONLRecords reads the first n records of a legacy JSONL campaign
-// file. The manifest is written after record appends, so trailing lines
-// beyond N (a crashed append) are ignored; fewer lines than N is
-// corruption.
-func (s *Store) readJSONLRecords(id string, n int) ([]Record, error) {
-	f, err := os.Open(s.jsonlPath(id))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := ReadJSONL(f, n)
-	if err != nil {
-		return nil, fmt.Errorf("results: %s: %w", id, err)
-	}
-	if len(recs) < n {
-		return nil, fmt.Errorf("results: %s has %d records, manifest says %d", id, len(recs), n)
-	}
-	return recs, nil
-}
-
 // segRowsOffset walks a segment's blocks and returns the byte offset
 // just past the block that completes row n. Appends truncate to it
 // first, so a crashed append's torn tail bytes can never corrupt the
-// next append (the columnar analogue of JSONL's ignored trailing
-// lines).
+// next append.
 func segRowsOffset(data []byte, n int) (int, error) {
 	off, rows := 0, 0
 	for rows < n {
@@ -433,47 +317,12 @@ func (s *Store) Save(k Key, recs []Record) error {
 	if err := os.Rename(tmp, s.segPath(id)); err != nil {
 		return err
 	}
-	if err := s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar}); err != nil {
-		return err
-	}
-	os.Remove(s.jsonlPath(id)) // drop a stale interchange copy, best-effort
-	return nil
-}
-
-// SaveJSONL stores a fresh campaign in the JSONL interchange format
-// (the debug path; Save is the native one). It round-trips losslessly:
-// the first columnar-path touch migrates it.
-func (s *Store) SaveJSONL(k Key, recs []Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := k.ID()
-	tmp := s.jsonlPath(id) + ".tmp"
-	os.Remove(tmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSONL(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.jsonlPath(id)); err != nil {
-		return err
-	}
-	if err := s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatJSONL}); err != nil {
-		return err
-	}
-	os.Remove(s.segPath(id))
-	return nil
+	return s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar})
 }
 
 // Append tops up a stored campaign with records continuing its
-// pre-drawn fault sequence: recs[0].Index must equal the stored N. A
-// legacy JSONL campaign is migrated to columnar first. The manifest is
-// updated last, so a crash mid-append leaves a loadable prefix.
+// pre-drawn fault sequence: recs[0].Index must equal the stored N. The
+// manifest is updated last, so a crash mid-append leaves a loadable prefix.
 func (s *Store) Append(k Key, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -481,7 +330,7 @@ func (s *Store) Append(k Key, recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := k.ID()
-	m, ok, err := s.manifestFor(k)
+	m, ok, err := s.manifestFor(id, &k)
 	if err != nil {
 		return err
 	}
@@ -491,10 +340,6 @@ func (s *Store) Append(k Key, recs []Record) error {
 	if recs[0].Index != m.N {
 		return fmt.Errorf("results: non-contiguous append: have %d records, next starts at %d", m.N, recs[0].Index)
 	}
-	m, err = s.native(id, m)
-	if err != nil {
-		return err
-	}
 	if err := s.appendSeg(id, m.N, recs); err != nil {
 		return err
 	}
@@ -502,75 +347,21 @@ func (s *Store) Append(k Key, recs []Record) error {
 	return s.writeManifest(m)
 }
 
-// ExportJSONL streams a stored campaign's records to w in the JSONL
-// interchange format (the export half of the lossless converter; the
-// campaign's on-disk format is untouched). Memory stays bounded by one
-// block.
-func (s *Store) ExportJSONL(id string, w io.Writer) error {
-	_, c, err := s.CursorID(id, Filter{})
+// ExportJSONL streams a stored campaign's records matching f to w in
+// the JSONL interchange format; the stored segment is untouched.
+// Memory stays bounded by one block.
+func (s *Store) ExportJSONL(id string, f Filter, w io.Writer) error {
+	_, c, err := s.CursorID(id, f)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 	bw := bufio.NewWriter(w)
-	err = c.Each(func(r Record) error {
-		data, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		bw.Write(data)
-		return bw.WriteByte('\n')
-	})
-	if err != nil {
+	enc := json.NewEncoder(bw)
+	if err := c.Each(func(r Record) error { return enc.Encode(r) }); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// CompactStats reports what a Compact pass did.
-type CompactStats struct {
-	// Campaigns is the number of stored campaigns seen.
-	Campaigns int
-	// Migrated is how many legacy JSONL campaigns were converted.
-	Migrated int
-	// JSONLBytes / SegBytes are the record-file sizes before and after
-	// for the migrated campaigns.
-	JSONLBytes int64
-	SegBytes   int64
-}
-
-// Compact migrates every legacy JSONL campaign in the store to the
-// native columnar format (the `vulnstack results compact` verb).
-func (s *Store) Compact() (CompactStats, error) {
-	ms, err := s.List()
-	if err != nil {
-		return CompactStats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var st CompactStats
-	st.Campaigns = len(ms)
-	for _, m := range ms {
-		if m.Format != FormatJSONL {
-			continue
-		}
-		id := m.Key.ID()
-		before, err := os.Stat(s.jsonlPath(id))
-		if err != nil {
-			return st, err
-		}
-		if _, err := s.migrate(id, m); err != nil {
-			return st, err
-		}
-		after, err := os.Stat(s.segPath(id))
-		if err != nil {
-			return st, err
-		}
-		st.Migrated++
-		st.JSONLBytes += before.Size()
-		st.SegBytes += after.Size()
-	}
-	return st, nil
 }
 
 // ChainExt is the file extension of persisted checkpoint chains. The
@@ -669,6 +460,9 @@ func (s *Store) List() ([]Manifest, error) {
 			continue
 		}
 		m, ok, err := s.readManifest(strings.TrimSuffix(name, ".json"))
+		if errors.Is(err, errPreColumnar) {
+			return nil, err
+		}
 		if err != nil || !ok {
 			continue // tolerate foreign or half-written files in the dir
 		}
