@@ -37,10 +37,14 @@ race:
 
 # fuzz-short runs each fuzz target for 10s beyond its seed corpus. Go
 # fuzzes one target per invocation, hence one go test per target.
+# FuzzDecodeState's inputs are whole state blobs (~20 KB); minimizing
+# each new one would take the default 60s, the whole budget, so its
+# minimization is capped at 100 runs.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNeverPanics$$' -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInstrRoundTrip$$' -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime 10s ./internal/results
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/micro
 
 # cover writes a coverage profile and prints the per-package and total
 # coverage summary.

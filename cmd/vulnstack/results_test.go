@@ -142,3 +142,22 @@ func TestResultsRefusesPreColumnar(t *testing.T) {
 		}
 	}
 }
+
+// TestResultsListRefusesUnsupportedManifest: a manifest that parses but
+// carries a newer schema or an unknown format makes `results list` fail
+// (a non-zero exit) with an error naming the campaign, instead of
+// listing the store without it.
+func TestResultsListRefusesUnsupportedManifest(t *testing.T) {
+	for _, tail := range []string{`"schema":4,"n":4,"format":"columnar"`, `"schema":3,"n":4,"format":"parquet"`} {
+		dir, _ := resultsStore(t)
+		k := results.Key{Layer: "soft", Target: "qsort/seed=1", Seed: 7}
+		manifest := fmt.Sprintf(`{"key":{"layer":"soft","target":%q,"seed":7},%s}`, k.Target, tail)
+		if err := os.WriteFile(filepath.Join(dir, k.ID()+".json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runResults(t, "list", "-store", dir)
+		if err == nil || !strings.Contains(err.Error(), k.ID()) {
+			t.Fatalf("%s: list err=%v, want an error naming %s; printed:\n%s", manifest, err, k.ID(), out)
+		}
+	}
+}

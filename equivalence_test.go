@@ -1,6 +1,7 @@
 package vulnstack
 
 import (
+	"strings"
 	"testing"
 
 	"vulnstack/internal/isa"
@@ -13,8 +14,10 @@ import (
 // several workers, the accelerated engines (convergence early-stop,
 // dead cache-line pre-check, dead-definition filter, translation
 // blocks) must produce tallies bit-identical to the Reference engines.
-// The micro layer covers the RF and two cache structures, where the
-// dead-line pre-check classifies most faults without running. The two
+// The micro layer covers all five structures: the RF and LSQ, whose
+// faults live in the head of the state blob, and the three caches,
+// where the dead-line pre-check classifies most faults without running
+// and the delta restore and compare work set by set. The two
 // systems build their golden chains independently, through their own
 // engines, so an engine bug cannot corrupt both sides of the
 // comparison. The per-layer sample counts are small — the point is
@@ -45,16 +48,15 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 
 			layer := func(sys *System, name string, workers int) results.Tally {
 				sys.Workers = workers
-				switch name {
-				case "micro/RF", "micro/L1d", "micro/L2":
+				if st, err := micro.ParseStructure(strings.TrimPrefix(name, "micro/")); err == nil {
 					cp, err := sys.MicroCampaign(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					cp.Workers = workers
-					st := map[string]micro.Structure{"micro/RF": micro.StructRF,
-						"micro/L1d": micro.StructL1D, "micro/L2": micro.StructL2}[name]
 					return results.TallyOf(cp.Records(st, nMicro, 0, seed, nil))
+				}
+				switch name {
 				case "arch":
 					cp, err := sys.ArchCampaign()
 					if err != nil {
@@ -71,7 +73,7 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 					return results.TallyOf(cp.Records(nSoft, 0, seed, nil))
 				}
 			}
-			for _, name := range []string{"micro/RF", "micro/L1d", "micro/L2", "arch", "soft"} {
+			for _, name := range []string{"micro/RF", "micro/LSQ", "micro/L1i", "micro/L1d", "micro/L2", "arch", "soft"} {
 				ref := layer(base, name, 1)
 				for _, workers := range []int{1, 3} {
 					if got := layer(accel, name, workers); got != ref {

@@ -21,7 +21,10 @@
 //     compared only on the union of the faulty run's dirty pages and
 //     the chain's content-changed pages — sound, because every page
 //     outside that union provably equals the restore point's copy in
-//     both runs.
+//     both runs. StateChunks and StateRangeEqual let an engine that
+//     tracks its own writes make the same argument for machine state:
+//     restore or compare only its writes and the walked chunks, reading
+//     the reference bytes from the stored chunk versions.
 //   - Encode/Decode: a colseg-serialized form persisted in the results
 //     store, digest-protected, so a warm store (top-up resume or a
 //     second process) skips the golden run entirely.
@@ -299,6 +302,40 @@ func (ch *Chain) StateAt(i int, buf []byte, from int) []byte {
 		}
 	})
 	return buf
+}
+
+// StateChunks appends to dst the machine-state chunks that StateAt
+// walks between checkpoints from and to — every chunk with a stored
+// version in (min(from,to), max(from,to)], a superset of the chunks in
+// which the two blobs differ — and returns the extended slice. Chunk k
+// covers blob bytes [k<<ChunkShift, (k+1)<<ChunkShift); a chunk may be
+// listed more than once. An engine whose arena tracks what it wrote
+// since its restore from `from` then needs to touch only those writes
+// and these chunks to restore or compare against `to`.
+func (ch *Chain) StateChunks(from, to int, dst []int32) []int32 {
+	ch.state.walk(from, to, func(c int) { dst = append(dst, int32(c)) })
+	return dst
+}
+
+// StateLen returns the length of checkpoint i's machine-state blob.
+func (ch *Chain) StateLen(i int) int { return ch.state.lens[i] }
+
+// StateRangeEqual reports whether checkpoint i's machine-state blob
+// holds b at byte offset off, compared against the stored chunk
+// versions without materializing the blob.
+func (ch *Chain) StateRangeEqual(i, off int, b []byte) bool {
+	if off < 0 || off+len(b) > ch.state.lens[i] {
+		return false
+	}
+	for len(b) > 0 {
+		ref := ch.state.get(i, off>>ChunkShift)[off&(chunkSize-1):]
+		n := min(len(ref), len(b))
+		if !bytes.Equal(b[:n], ref[:n]) {
+			return false
+		}
+		b, off = b[n:], off+n
+	}
+	return true
 }
 
 // RestoreRAM makes m's contents equal checkpoint to's RAM image. The

@@ -54,7 +54,9 @@ func chainOf(t *testing.T, ramImgs, stateImgs [][]byte) *Chain {
 
 // TestStateAtMatchesRetainedImages: materializing any checkpoint — full
 // or delta-walked from any other checkpoint — must reproduce the exact
-// captured image.
+// captured image; StateChunks must list every chunk in which the two
+// images differ, and StateRangeEqual must read any range of the
+// captured image exactly, chunk boundaries included.
 func TestStateAtMatchesRetainedImages(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ramImgs := buildImages(r, 12, 4*chunkSize, false)
@@ -76,6 +78,37 @@ func TestStateAtMatchesRetainedImages(t *testing.T) {
 				t.Fatalf("StateAt(%d) from %d: %d bytes, want %d (content mismatch)",
 					to, from, len(buf), len(stateImgs[to]))
 			}
+			listed := map[int32]bool{}
+			for _, c := range ch.StateChunks(from, to, nil) {
+				listed[c] = true
+			}
+			prev := make([]byte, len(buf)) // from = -1 walks from all zeroes
+			if from >= 0 {
+				prev = stateImgs[from]
+			}
+			for c := 0; c < numChunks(max(len(prev), len(buf))); c++ {
+				if !bytes.Equal(chunkOf(prev, c), chunkOf(buf, c)) && !listed[int32(c)] {
+					t.Fatalf("StateChunks(%d, %d) omits differing chunk %d", from, to, c)
+				}
+			}
+		}
+	}
+	for to, img := range stateImgs {
+		for k := 0; k < 50; k++ {
+			off := r.Intn(len(img))
+			b := append([]byte(nil), img[off:off+r.Intn(min(len(img)-off, 2*chunkSize)+1)]...)
+			if !ch.StateRangeEqual(to, off, b) {
+				t.Fatalf("StateRangeEqual(%d, %d, %d bytes) false on the captured bytes", to, off, len(b))
+			}
+			if len(b) > 0 {
+				b[r.Intn(len(b))] ^= 1
+				if ch.StateRangeEqual(to, off, b) {
+					t.Fatalf("StateRangeEqual(%d, %d, %d bytes) true on perturbed bytes", to, off, len(b))
+				}
+			}
+		}
+		if ch.StateRangeEqual(to, len(img)-1, []byte{img[len(img)-1], 0}) {
+			t.Fatalf("StateRangeEqual(%d) accepted a range past the blob's end", to)
 		}
 	}
 }

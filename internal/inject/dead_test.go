@@ -183,7 +183,7 @@ func TestFirstValidRejectsInvalidation(t *testing.T) {
 		ch.Finish()
 		return ch
 	}
-	x := boot.ValidIndex()
+	x := boot.Layout()
 	if tab := firstValidLines(chain(boot, mid), x); tab[micro.StructL2] == nil {
 		t.Fatal("forward chain gave an empty table")
 	}

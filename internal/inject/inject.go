@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"vulnstack/internal/campaign"
 	"vulnstack/internal/ckpt"
@@ -156,6 +157,14 @@ type Campaign struct {
 	// if none does). Empty when the chain shows a line going invalid
 	// again, which would break the monotonicity dead relies on.
 	firstValid [micro.NumStructures][]int32
+	// idle holds the worker arenas between Records calls, so a
+	// campaign builds each arena once, not once per call. Pooled
+	// arenas stay valid under either Reference setting: dirty-set
+	// tracking is always on and every restore re-bases it.
+	idle struct {
+		sync.Mutex
+		ws []*worker
+	}
 }
 
 // Chain exposes the campaign's checkpoint chain (for persistence and
@@ -229,7 +238,7 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int, maxCycles uint64) 
 		capture()
 	}
 	cp.chain.Finish()
-	cp.firstValid = firstValidLines(cp.chain, c2.ValidIndex())
+	cp.firstValid = firstValidLines(cp.chain, c2.Layout())
 	return cp, nil
 }
 
@@ -268,7 +277,7 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 		Golden:     g,
 		chain:      ch,
 		Resumed:    true,
-		firstValid: firstValidLines(ch, trial.ValidIndex()),
+		firstValid: firstValidLines(ch, trial.Layout()),
 	}
 	cp.Limit = 3*cp.Golden.Cycles + 50000
 	return cp, nil
@@ -282,7 +291,7 @@ var cacheStructs = [...]micro.Structure{micro.StructL1I, micro.StructL1D, micro.
 // straight from the checkpoint blobs (no DecodeState). It returns an
 // empty table if any line is valid at one checkpoint and invalid at a
 // later one, or if a blob does not hold the flags x locates.
-func firstValidLines(ch *ckpt.Chain, x micro.ValidIndex) (tab [micro.NumStructures][]int32) {
+func firstValidLines(ch *ckpt.Chain, x *micro.Layout) (tab [micro.NumStructures][]int32) {
 	n := int32(ch.Len())
 	for _, s := range cacheStructs {
 		first := make([]int32, x.Lines(s))
@@ -347,20 +356,34 @@ func (cp *Campaign) inject(w *worker, f Fault, g int) Result {
 }
 
 // worker is the reusable per-worker machine arena: one core restored in
-// place by delta-walking the chain (dirty RAM pages plus the chunks
-// that changed between the previous and the new restore point) instead
-// of deep-copied for every injection.
+// place from the chain instead of deep-copied for every injection.
 type worker struct {
 	arena *micro.Core
 	src   int // checkpoint index the arena was last restored from
 	// stateBuf holds the materialized machine-state blob of checkpoint
-	// src; cmpBuf is the convergence-test encode scratch.
+	// src; chunks is the state-chunk walk scratch.
 	stateBuf []byte
-	cmpBuf   []byte
+	chunks   []int32
 }
 
+// chunkBytes is the checkpoint chain's state chunk size.
+const chunkBytes = 1 << ckpt.ChunkShift
+
+// deltaHook, when non-nil, observes every delta restore (j = -1: the
+// arena now holds checkpoint g) and every delta compare (at boundary j
+// of a run restored from g): dirty is the number of cache sets the
+// arena had marked before the operation, sets the number it read,
+// chunks the state chunks it walked, eq the compare's verdict. Only
+// this package's tests set it.
+var deltaHook func(w *worker, g, j, dirty, sets int, chunks []int32, eq bool)
+
 // coreFor readies the worker's arena at the given cycle, restoring from
-// checkpoint g.
+// checkpoint g. RAM is restored page-wise: the arena's dirty pages plus
+// the chunks that changed between the previous and the new restore
+// point. Machine state is delta-decoded the same way — the arena's
+// dirty cache sets plus the sets under the state chunks walked between
+// the two checkpoints — except on the arena's first restore and under
+// Reference, which decode the whole blob.
 func (cp *Campaign) coreFor(w *worker, cycle uint64, g int) *micro.Core {
 	if w.arena == nil {
 		m := mem.New(cp.Img.RAM.Size())
@@ -369,15 +392,27 @@ func (cp *Campaign) coreFor(w *worker, cycle uint64, g int) *micro.Core {
 		w.src = -1
 	}
 	w.stateBuf = cp.chain.StateAt(g, w.stateBuf, w.src)
-	if err := w.arena.DecodeState(w.stateBuf); err != nil {
+	core := w.arena
+	delta := w.src >= 0 && !cp.Reference
+	dirty, sets := core.DirtySets(), 0
+	var err error
+	if delta {
+		w.chunks = cp.chain.StateChunks(w.src, g, w.chunks[:0])
+		sets, err = core.DecodeDelta(w.stateBuf, w.chunks, chunkBytes)
+	} else {
+		err = core.DecodeState(w.stateBuf)
+	}
+	if err != nil {
 		// Unreachable for a chain that passed Prepare/PrepareFromChain
 		// validation: every checkpoint was encoded by the same codec on
 		// the same geometry.
 		panic(fmt.Sprintf("inject: checkpoint %d restore: %v", g, err))
 	}
-	cp.chain.RestoreRAM(w.arena.Bus.Mem, w.src, g)
+	cp.chain.RestoreRAM(core.Bus.Mem, w.src, g)
 	w.src = g
-	core := w.arena
+	if delta && deltaHook != nil {
+		deltaHook(w, g, -1, dirty, sets, w.chunks, false)
+	}
 	for core.Cycle < cycle {
 		if !core.Step() {
 			break
@@ -476,18 +511,26 @@ func (cp *Campaign) runFaulty(core *micro.Core, g int, w *worker) (halted, conve
 
 // converged reports whether the faulty core, now at the cycle of
 // checkpoint j, is bit-identical to the golden run. The scalar probe
-// gates the test; on a match the core is encoded canonically and
-// compared chunk-wise against the chain (bytes-equality ⟺
-// micro.StateEqual), and RAM is compared on the union of the faulty
-// run's dirty pages (tracked since its restore from checkpoint g) and
-// the chain's content-changed pages in (g, j] — every other page
-// provably equals checkpoint g's copy in both runs.
+// gates the test. On a match the machine state is compared against the
+// chain's blob without encoding it whole (micro.EqualDelta): the arena
+// equals checkpoint g off the cache sets it wrote since its restore,
+// and checkpoint j differs from g only in the state chunks walked over
+// (g, j], so those sets, the head and the tail decide equality. RAM is
+// compared the same way, on the union of the faulty run's dirty pages
+// and the chain's content-changed pages in (g, j].
 func (cp *Campaign) converged(core *micro.Core, g, j int, w *worker) bool {
 	if core.Cycle != cp.chain.Coord(j) || core.StateProbe() != cp.chain.Probe(j) {
 		return false
 	}
-	w.cmpBuf = core.EncodeState(w.cmpBuf[:0])
-	return cp.chain.StateEqual(j, w.cmpBuf) && cp.chain.RAMEqual(core.Bus.Mem, g, j)
+	dirty := core.DirtySets()
+	w.chunks = cp.chain.StateChunks(g, j, w.chunks[:0])
+	eq, sets := core.EqualDelta(cp.chain.StateLen(j),
+		func(off int, b []byte) bool { return cp.chain.StateRangeEqual(j, off, b) },
+		w.chunks, chunkBytes)
+	if deltaHook != nil {
+		deltaHook(w, g, j, dirty, sets, w.chunks, eq)
+	}
+	return eq && cp.chain.RAMEqual(core.Bus.Mem, g, j)
 }
 
 // RunCampaign performs n sampled injections into structure s, fanned
@@ -545,8 +588,18 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r R
 	if progress != nil {
 		emit = func(i int, rec Record) { progress(base+i, rec) }
 	}
-	return campaign.Run(jobs, cp.Workers,
-		func() *worker { return &worker{src: -1} },
+	var lent []*worker
+	recs := campaign.Run(jobs, cp.Workers,
+		func() *worker {
+			cp.idle.Lock()
+			defer cp.idle.Unlock()
+			w := &worker{src: -1}
+			if n := len(cp.idle.ws); n > 0 {
+				w, cp.idle.ws = cp.idle.ws[n-1], cp.idle.ws[:n-1]
+			}
+			lent = append(lent, w)
+			return w
+		},
 		func(w *worker, j campaign.Job) Record {
 			f := faults[j.Index]
 			rec := cp.inject(w, f, j.Group).Record()
@@ -554,6 +607,10 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r R
 			return rec
 		},
 		emit)
+	cp.idle.Lock()
+	cp.idle.ws = append(cp.idle.ws, lent...)
+	cp.idle.Unlock()
+	return recs
 }
 
 // CkptFor returns the index of the checkpoint governing an injection

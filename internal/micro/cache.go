@@ -101,14 +101,30 @@ func (r *ramLevel) taintRange(addr uint64, n int) {
 	}
 }
 
-// clone deep-copies the RAM level over an already-cloned memory.
-func (r *ramLevel) clone(m *mem.Memory) *ramLevel {
-	nr := &ramLevel{m: m, lat: r.lat, taints: make(map[uint64]taintMask, len(r.taints))}
-	//lint:ordered map-to-map copy; the result is independent of visit order
-	for k, v := range r.taints {
-		nr.taints[k] = v
+// setMarks is a set of cache-set indices: a bitmap for membership plus
+// the members in marking order, so clearing costs one word per member.
+type setMarks struct {
+	bits []uint64
+	list []int32
+}
+
+func newSetMarks(n int) setMarks { return setMarks{bits: make([]uint64, (n+63)/64)} }
+
+// mark adds set s; a set already present costs one bitmap test.
+func (m *setMarks) mark(s int) {
+	if w, b := s>>6, uint64(1)<<(s&63); m.bits[w]&b == 0 {
+		m.bits[w] |= b
+		m.list = append(m.list, int32(s))
 	}
-	return nr
+}
+
+func (m *setMarks) has(s int) bool { return m.bits[s>>6]&(1<<(s&63)) != 0 }
+
+func (m *setMarks) reset() {
+	for _, s := range m.list {
+		m.bits[s>>6] = 0
+	}
+	m.list = m.list[:0]
 }
 
 // cache is one set-associative writeback cache level.
@@ -120,6 +136,13 @@ type cache struct {
 	offBits uint
 	idxBits uint
 	tick    int64
+	// dirty marks every set whose lines changed since the last state
+	// restore. touch, flipBit and flushAll are the only line writers
+	// outside the state decoder, and each marks the set it writes, so
+	// off the marked sets the cache still equals the restored blob.
+	dirty setMarks
+	// seen is the delta compare's scratch set of visited sets.
+	seen setMarks
 }
 
 func newCache(cfg CacheConfig, lower memLevel) *cache {
@@ -129,10 +152,12 @@ func newCache(cfg CacheConfig, lower memLevel) *cache {
 		offBits: uint(bits.TrailingZeros32(uint32(cfg.LineBytes))),
 		idxBits: uint(bits.TrailingZeros32(uint32(cfg.Sets()))),
 	}
-	// One backing array for all line data keeps clones to a single
-	// copy instead of tens of thousands of small allocations.
+	// One backing array for all line data keeps the state codec's data
+	// section a single copy instead of tens of thousands of small ones.
 	c.backing = make([]byte, cfg.Lines()*cfg.LineBytes)
 	c.sets = make([][]line, cfg.Sets())
+	c.dirty = newSetMarks(cfg.Sets())
+	c.seen = newSetMarks(cfg.Sets())
 	li := 0
 	for i := range c.sets {
 		ways := make([]line, cfg.Assoc)
@@ -221,9 +246,13 @@ func (c *cache) refill(addr uint64) (int, int) {
 	return victim, lat
 }
 
+// touch stamps a line's LRU and marks its set dirty. Every access —
+// read, write, refill and the whole-line readLine/writeLine — calls it
+// for the set it changes.
 func (c *cache) touch(set, way int) {
 	c.tick++
 	c.sets[set][way].lru = c.tick
+	c.dirty.mark(set)
 }
 
 // readLine serves a whole-line read from this level (the refill path
@@ -353,6 +382,7 @@ func (c *cache) flushAll() {
 			if l.valid && l.dirty {
 				c.lower.writeLine(c.lineAddr(set, l.tag), l.data, l.taint)
 				l.dirty = false
+				c.dirty.mark(set)
 			}
 		}
 	}
@@ -374,6 +404,7 @@ type FlipResult struct {
 // flipBit flips one bit of the line identified by (set, way). Bit
 // layout: [0, 8*LineBytes) data, then tag bits, then valid, then dirty.
 func (c *cache) flipBit(set, way, bit int) FlipResult {
+	c.dirty.mark(set)
 	l := &c.sets[set][way]
 	dataBits := 8 * c.cfg.LineBytes
 	tagBits := c.cfg.TagBits()

@@ -66,11 +66,19 @@ func StatePC(blob []byte) (uint64, bool) {
 // StateEqual-relevant state to dst and returns the result.
 func (c *Core) EncodeState(dst []byte) []byte {
 	dst = c.appendHead(dst)
-	dst = c.l1i.appendState(dst)
-	dst = c.l1d.appendState(dst)
-	dst = c.l2.appendState(dst)
+	for _, ch := range c.caches() {
+		dst = ch.appendState(dst)
+	}
+	return c.appendTail(dst)
+}
 
-	// Variable-length tail.
+// caches returns the cache levels in EncodeState's section order.
+func (c *Core) caches() [3]*cache { return [3]*cache{c.l1i, c.l1d, c.l2} }
+
+// appendTail emits the variable-length sections that follow the
+// caches: free list, issue and fetch queues, completion ring, RAM
+// taints and device state.
+func (c *Core) appendTail(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(c.freeList)))
 	for _, v := range c.freeList {
 		dst = binary.AppendUvarint(dst, uint64(v))
@@ -240,70 +248,141 @@ func (c *cache) stateBytes() int { return 8 + c.cfg.Lines()*c.lineRecBytes() + l
 func (c *cache) appendState(dst []byte) []byte {
 	dst = appendU64(dst, uint64(c.tick))
 	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			dst = appendBool(dst, l.valid)
-			dst = appendBool(dst, l.dirty)
-			dst = appendU64(dst, l.tag)
-			dst = appendU64(dst, uint64(l.lru))
-			// nil taint ≡ all-zero: always emit the full mask so the
-			// encoding is canonical.
-			if l.taint == nil {
-				dst = append(dst, zeroLine(c.cfg.LineBytes)...)
-			} else {
-				dst = append(dst, l.taint...)
-			}
-		}
+		dst = c.appendSetRecords(dst, si)
 	}
 	return append(dst, c.backing...)
 }
 
-// ValidIndex locates every cache line's valid flag inside the
-// EncodeState blobs of one Config, so a checkpoint's line validity is
-// read straight from its blob without a DecodeState. The offsets come
-// from the codec: the head is measured by encoding it, and each cache
-// section's length is the one appendState emits.
-type ValidIndex struct {
-	// off is the blob offset of each cache structure's first line
-	// record, rec its line record size and lines its line count; all
-	// zero for the non-cache structures.
-	off, rec, lines [NumStructures]int
+// appendSetRecords emits the line records of one set.
+func (c *cache) appendSetRecords(dst []byte, set int) []byte {
+	for wi := range c.sets[set] {
+		l := &c.sets[set][wi]
+		dst = appendBool(dst, l.valid)
+		dst = appendBool(dst, l.dirty)
+		dst = appendU64(dst, l.tag)
+		dst = appendU64(dst, uint64(l.lru))
+		// nil taint ≡ all-zero: always emit the full mask so the
+		// encoding is canonical.
+		if l.taint == nil {
+			dst = append(dst, zeroLine(c.cfg.LineBytes)...)
+		} else {
+			dst = append(dst, l.taint...)
+		}
+	}
+	return dst
 }
 
-// ValidIndex returns the valid-flag index for this core's Config.
-func (c *Core) ValidIndex() ValidIndex {
-	var x ValidIndex
-	off := len(c.appendHead(nil))
-	// The cache sections follow the head in EncodeState's order.
-	for _, lv := range [...]struct {
-		s  Structure
-		ch *cache
-	}{{StructL1I, c.l1i}, {StructL1D, c.l1d}, {StructL2, c.l2}} {
-		x.off[lv.s] = off + 8
-		x.rec[lv.s] = lv.ch.lineRecBytes()
-		x.lines[lv.s] = lv.ch.cfg.Lines()
-		off += lv.ch.stateBytes()
+// setData is the slice of the data backing holding one set's lines.
+func (c *cache) setData(set int) []byte {
+	n := c.cfg.Assoc * c.cfg.LineBytes
+	return c.backing[set*n : (set+1)*n]
+}
+
+// Layout is the byte layout of one Config's EncodeState blobs: the
+// fixed-size head, the three cache sections and the offset of the
+// variable-length tail. The offsets come from the codec: the head is
+// measured by encoding it, and each cache section's length is the one
+// appendState emits. It is the one offset table behind every reader
+// that looks into a blob without decoding it whole: the campaign's
+// dead-line pre-check reads line valid flags through it, and the delta
+// restore and compare map checkpoint chunks to cache sets through it.
+type Layout struct {
+	// tail is the blob offset of the variable-length tail.
+	tail int
+	// cache locates the L1i, L1d and L2 sections, in blob order.
+	cache [3]cacheLayout
+}
+
+// cacheLayout locates one cache section. A set's line records and its
+// data are two contiguous byte ranges, one in each region.
+type cacheLayout struct {
+	off              int // section offset: the LRU tick
+	rec              int // line record bytes
+	assoc, lineBytes int
+	lines            int
+}
+
+func (l *cacheLayout) sets() int     { return l.lines / l.assoc }
+func (l *cacheLayout) recs() int     { return l.off + 8 }
+func (l *cacheLayout) setRecs() int  { return l.assoc * l.rec }
+func (l *cacheLayout) data() int     { return l.recs() + l.lines*l.rec }
+func (l *cacheLayout) setBytes() int { return l.assoc * l.lineBytes }
+
+// setRanges returns the two half-open ranges of sets whose line
+// records (first) or data (second) overlap blob bytes [lo, hi).
+func (l *cacheLayout) setRanges(lo, hi int) [2][2]int {
+	span := func(base, size int) [2]int {
+		a, b := max(lo, base), min(hi, base+l.sets()*size)
+		if a >= b {
+			return [2]int{}
+		}
+		return [2]int{(a - base) / size, (b-1-base)/size + 1}
 	}
+	return [2][2]int{span(l.recs(), l.setRecs()), span(l.data(), l.setBytes())}
+}
+
+// Layout returns the blob layout of this core's Config.
+func (c *Core) Layout() *Layout {
+	if c.layout != nil {
+		return c.layout
+	}
+	x := &Layout{}
+	off := len(c.appendHead(nil))
+	for k, ch := range c.caches() {
+		x.cache[k] = cacheLayout{off: off, rec: ch.lineRecBytes(), assoc: ch.cfg.Assoc,
+			lineBytes: ch.cfg.LineBytes, lines: ch.cfg.Lines()}
+		off += ch.stateBytes()
+	}
+	x.tail = off
+	c.layout = x
 	return x
+}
+
+// cacheOf maps a cache structure to its section; nil for the others.
+// StructL1I..StructL2 are numbered in blob order.
+func (x *Layout) cacheOf(s Structure) *cacheLayout {
+	if s < StructL1I || s > StructL2 {
+		return nil
+	}
+	return &x.cache[s-StructL1I]
 }
 
 // Lines returns the line count of cache structure s (0 for the
 // non-cache structures).
-func (x *ValidIndex) Lines(s Structure) int { return x.lines[s] }
+func (x *Layout) Lines(s Structure) int {
+	if l := x.cacheOf(s); l != nil {
+		return l.lines
+	}
+	return 0
+}
 
 // LineValid reports the valid flag of line `line` (StructDims entry
 // numbering) of cache structure s in an EncodeState blob. ok is false
 // for a non-cache structure, an out-of-range line or a blob too short
 // to hold the flag.
-func (x *ValidIndex) LineValid(blob []byte, s Structure, line int) (valid, ok bool) {
-	if line < 0 || line >= x.lines[s] {
+func (x *Layout) LineValid(blob []byte, s Structure, line int) (valid, ok bool) {
+	l := x.cacheOf(s)
+	if l == nil || line < 0 || line >= l.lines {
 		return false, false
 	}
-	at := x.off[s] + line*x.rec[s]
+	at := l.recs() + line*l.rec
 	if at >= len(blob) {
 		return false, false
 	}
 	return blob[at] != 0, true
+}
+
+// ChunkSets returns how many cache sets have line records or data in
+// blob bytes [lo, hi), counting a set once per region: the most a
+// delta restore or compare reads on account of a chunk spanning them.
+func (x *Layout) ChunkSets(lo, hi int) int {
+	n := 0
+	for k := range x.cache {
+		for _, r := range x.cache[k].setRanges(lo, hi) {
+			n += r[1] - r[0]
+		}
+	}
+	return n
 }
 
 // appendTaints emits the RAM taint map canonically: nonzero entries
@@ -423,14 +502,133 @@ func (r *stateReader) bytes(n int) []byte {
 }
 
 // DecodeState restores the core from an EncodeState blob, reusing the
-// core's allocations (the in-place analogue of RestoreFrom for the
-// checkpoint chain). The core must have the geometry the blob was
+// core's allocations. The core must have the geometry the blob was
 // captured with (same Config). RAM contents are not touched — the
-// chain restores them page-wise — and, as with RestoreFrom, the decode
-// memo survives (entries are word-tagged and can never go stale) while
-// OnCommit and the measurement taint state reset.
+// chain restores them page-wise — and the decode memo survives
+// (entries are word-tagged and can never go stale), while OnCommit and
+// the measurement taint state reset. Every cache set is read, so the
+// core equals the blob everywhere and no set stays marked dirty.
 func (c *Core) DecodeState(blob []byte) error {
 	r := &stateReader{b: blob}
+	c.readHead(r)
+	for _, ch := range c.caches() {
+		ch.readState(r)
+	}
+	return c.readTail(r)
+}
+
+// DirtySets returns how many cache sets the core has written since its
+// last DecodeState or DecodeDelta.
+func (c *Core) DirtySets() int {
+	n := 0
+	for _, ch := range c.caches() {
+		n += len(ch.dirty.list)
+	}
+	return n
+}
+
+// DecodeDelta restores the core from blob like DecodeState, reading
+// the head and tail in full but only the cache sets that can differ.
+// It requires that the core equal the blob it was last restored from
+// everywhere off its dirty sets, and that blob differ from that one
+// only inside the listed chunks (chunk k is blob bytes
+// [k*chunkBytes, (k+1)*chunkBytes)). It re-reads the dirty sets and
+// the sets under the chunks, and returns how many sets it read.
+func (c *Core) DecodeDelta(blob []byte, chunks []int32, chunkBytes int) (int, error) {
+	x := c.Layout()
+	if len(blob) < x.tail {
+		return 0, fmt.Errorf("micro: truncated state blob")
+	}
+	c.readHead(&stateReader{b: blob})
+	read := 0
+	for k, ch := range c.caches() {
+		l := &x.cache[k]
+		ch.tick = int64(binary.LittleEndian.Uint64(blob[l.off:]))
+		for _, ck := range chunks {
+			lo := int(ck) * chunkBytes
+			for _, r := range l.setRanges(lo, lo+chunkBytes) {
+				for s := r[0]; s < r[1]; s++ {
+					ch.dirty.mark(s)
+				}
+			}
+		}
+		for _, s := range ch.dirty.list {
+			at := l.recs() + int(s)*l.setRecs()
+			ch.readSetRecords(&stateReader{b: blob[at : at+l.setRecs()]}, int(s))
+			copy(ch.setData(int(s)), blob[l.data()+int(s)*l.setBytes():])
+		}
+		read += len(ch.dirty.list)
+		ch.dirty.reset()
+	}
+	return read, c.readTail(&stateReader{b: blob[x.tail:]})
+}
+
+// EqualDelta reports whether the core's EncodeState bytes equal a
+// reference blob of refLen bytes, where ref(off, b) reports whether
+// the reference holds b at offset off. It requires that the core equal
+// the blob it was last restored from everywhere off its dirty sets,
+// and that the reference differ from that blob only inside the listed
+// chunks; every other cache set then matches on both sides. It checks
+// the cheapest parts first and stops at the first mismatch: the head
+// and the LRU ticks, the dirty sets (where a fault's residue lives),
+// the remaining sets under the chunks, then the tail. It returns the
+// verdict and how many cache sets it compared.
+func (c *Core) EqualDelta(refLen int, ref func(off int, b []byte) bool, chunks []int32, chunkBytes int) (bool, int) {
+	x := c.Layout()
+	buf := c.appendHead(c.scratch[:0])
+	defer func() { c.scratch = buf[:0] }()
+	if !ref(0, buf) {
+		return false, 0
+	}
+	for k, ch := range c.caches() {
+		buf = appendU64(buf[:0], uint64(ch.tick))
+		if !ref(x.cache[k].off, buf) {
+			return false, 0
+		}
+	}
+	cmp := 0
+	setEqual := func(ch *cache, l *cacheLayout, s int) bool {
+		cmp++
+		buf = ch.appendSetRecords(buf[:0], s)
+		return ref(l.recs()+s*l.setRecs(), buf) && ref(l.data()+s*l.setBytes(), ch.setData(s))
+	}
+	for k, ch := range c.caches() {
+		for _, s := range ch.dirty.list {
+			if !setEqual(ch, &x.cache[k], int(s)) {
+				return false, cmp
+			}
+		}
+	}
+	for k, ch := range c.caches() {
+		l := &x.cache[k]
+		eq := true
+	walk:
+		for _, ck := range chunks {
+			lo := int(ck) * chunkBytes
+			for _, r := range l.setRanges(lo, lo+chunkBytes) {
+				for s := r[0]; s < r[1]; s++ {
+					if ch.dirty.has(s) || ch.seen.has(s) {
+						continue
+					}
+					ch.seen.mark(s)
+					if eq = setEqual(ch, l, s); !eq {
+						break walk
+					}
+				}
+			}
+		}
+		ch.seen.reset()
+		if !eq {
+			return false, cmp
+		}
+	}
+	buf = c.appendTail(buf[:0])
+	return x.tail+len(buf) == refLen && ref(x.tail, buf), cmp
+}
+
+// readHead decodes the fixed-size head: scalars, register files,
+// ROB/LSQ arrays and the branch predictor.
+func (c *Core) readHead(r *stateReader) {
 	c.Cycle = r.u64()
 	c.Instret = r.u64()
 	c.KInstr = r.u64()
@@ -469,10 +667,11 @@ func (c *Core) DecodeState(blob []byte) error {
 		readLSQ(r, &c.sq[i])
 	}
 	c.bp.readState(r)
-	c.l1i.readState(r)
-	c.l1d.readState(r)
-	c.l2.readState(r)
+}
 
+// readTail decodes the variable-length tail, which must end the blob,
+// and resets the measurement-only state.
+func (c *Core) readTail(r *stateReader) error {
 	n := int(r.uv())
 	if n < 0 || n > 4*len(c.prf)+64 {
 		return fmt.Errorf("micro: state blob free-list length %d", n)
@@ -624,25 +823,32 @@ func (bp *branchPred) readState(r *stateReader) {
 	}
 }
 
+// readState decodes a whole cache section; no set stays marked dirty.
 func (c *cache) readState(r *stateReader) {
 	c.tick = int64(r.u64())
-	lb := c.cfg.LineBytes
 	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			l.valid = r.bool()
-			l.dirty = r.bool()
-			l.tag = r.u64()
-			l.lru = int64(r.u64())
-			mask := r.bytes(lb)
-			if isZeroMask(mask) {
-				l.taint = nil
-			} else {
-				l.taint = append(l.taint[:0], mask...)
-			}
-		}
+		c.readSetRecords(r, si)
 	}
 	copy(c.backing, r.bytes(len(c.backing)))
+	c.dirty.reset()
+}
+
+// readSetRecords decodes the line records of one set.
+func (c *cache) readSetRecords(r *stateReader, set int) {
+	lb := c.cfg.LineBytes
+	for wi := range c.sets[set] {
+		l := &c.sets[set][wi]
+		l.valid = r.bool()
+		l.dirty = r.bool()
+		l.tag = r.u64()
+		l.lru = int64(r.u64())
+		mask := r.bytes(lb)
+		if isZeroMask(mask) {
+			l.taint = nil
+		} else {
+			l.taint = append(l.taint[:0], mask...)
+		}
+	}
 }
 
 // zeroLines backs zeroLine: the all-zero taint mask of a clean line.

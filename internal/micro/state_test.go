@@ -119,13 +119,16 @@ func TestStateCodecCanonical(t *testing.T) {
 }
 
 // TestValidIndexReadsLineFlags: every cache line's valid flag, set to
-// a pattern and then to its complement, must read back through
-// ValidIndex from the encoded blob; each cache section must be exactly
-// the length the index assumes.
+// a pattern and then to its complement, must read back through the
+// Layout from the encoded blob; each cache section must be exactly the
+// length the layout assumes, and the tail must start where it says.
 func TestValidIndexReadsLineFlags(t *testing.T) {
 	for _, cfg := range []Config{ConfigA72(), ConfigA9()} {
 		core := midpointCore(t, cfg)
-		x := core.ValidIndex()
+		x := core.Layout()
+		if got := len(core.EncodeState(nil)) - len(core.appendTail(nil)); got != x.tail {
+			t.Fatalf("%s: tail at %d, layout says %d", cfg.Name, got, x.tail)
+		}
 		levels := []struct {
 			s  Structure
 			ch *cache
@@ -164,7 +167,7 @@ func TestValidIndexReadsLineFlags(t *testing.T) {
 				t.Fatalf("%s: LineValid(%v, %d) accepted", cfg.Name, bad.s, bad.line)
 			}
 		}
-		if _, ok := x.LineValid(blob[:x.off[StructL2]], StructL2, 0); ok {
+		if _, ok := x.LineValid(blob[:x.cache[2].recs()], StructL2, 0); ok {
 			t.Fatalf("%s: LineValid accepted a blob cut before the flag", cfg.Name)
 		}
 	}

@@ -335,6 +335,46 @@ func TestStoreRefusesPreColumnar(t *testing.T) {
 	}
 }
 
+// TestStoreListRefusesUnsupportedManifest: a manifest that parses but
+// has a schema newer than this store or an unknown record format makes
+// List fail with an error naming the campaign, while files that are
+// not JSON manifests at all, and .tmp leftovers of interrupted writes,
+// are skipped.
+func TestStoreListRefusesUnsupportedManifest(t *testing.T) {
+	for _, bad := range []string{
+		`{"schema":4,"key":{"layer":"soft","target":"new","seed":5},"n":2,"format":"columnar"}`,
+		`{"schema":3,"key":{"layer":"soft","target":"new","seed":5},"n":2,"format":"parquet"}`,
+	} {
+		s := testStore(t)
+		good := Key{Layer: "micro", Target: "a", Config: "A72", Struct: "RF", Seed: 1}
+		if err := s.Save(good, []Record{{Index: 0}}); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string]string{
+			"notes.json":                  "not json at all",
+			"0123456789abcdef.json.tmp":   bad,
+			"fedcba9876543210.json":       `{"schema":3,"key":{"layer":"soft","tar`,
+			good.ID() + ".json.tmp":       "{",
+			"array.json":                  `[1,2,3]`,
+			"0000000000000000.json.other": bad,
+		} {
+			if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ms, err := s.List(); err != nil || len(ms) != 1 || ms[0].Key != good {
+			t.Fatalf("foreign files only: List = %+v, err=%v; want just %v", ms, err, good)
+		}
+		id := Key{Layer: "soft", Target: "new", Seed: 5}.ID()
+		if err := os.WriteFile(filepath.Join(s.Dir(), id+".json"), []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ms, err := s.List(); err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("manifest %s: List = %+v, err=%v; want an error naming %s", bad, ms, err, id)
+		}
+	}
+}
+
 // FuzzReadManifest: the manifest decoder never panics; every input
 // either decodes to a manifest that passes validation or is an error.
 func FuzzReadManifest(f *testing.F) {

@@ -47,6 +47,10 @@ const SegExt = ".seg"
 // its records are a JSONL file this store no longer reads.
 var errPreColumnar = errors.New("results: pre-columnar campaign")
 
+// errNotManifest marks a .json file that does not parse as a manifest:
+// a foreign file in the store directory, which List skips.
+var errNotManifest = errors.New("not a campaign manifest")
+
 // Key is the full identity of one stored campaign. Two runs with equal
 // keys draw identical fault sequences, so their record sets are
 // prefix-compatible for any n.
@@ -129,7 +133,7 @@ func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, false, fmt.Errorf("results: manifest %s: %w", id, err)
+		return Manifest{}, false, fmt.Errorf("results: manifest %s: %w: %w", id, errNotManifest, err)
 	}
 	if m.Schema < 1 || m.Schema > SchemaVersion {
 		return Manifest{}, false, fmt.Errorf("results: manifest %s has schema %d, want 1..%d", id, m.Schema, SchemaVersion)
@@ -445,7 +449,12 @@ func (s *Store) ListChains() ([]string, error) {
 	return fps, nil
 }
 
-// List returns every stored campaign manifest, sorted by key.
+// List returns every stored campaign manifest, sorted by key. A .json
+// file that does not parse as a manifest is skipped as foreign (an
+// interrupted write leaves only a .tmp file, which is never read); a
+// manifest that parses but cannot be served — a pre-columnar one, an
+// unsupported schema, an unknown format — fails the listing with an
+// error naming the campaign, so no stored campaign is silently hidden.
 func (s *Store) List() ([]Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -460,11 +469,11 @@ func (s *Store) List() ([]Manifest, error) {
 			continue
 		}
 		m, ok, err := s.readManifest(strings.TrimSuffix(name, ".json"))
-		if errors.Is(err, errPreColumnar) {
+		switch {
+		case errors.Is(err, errNotManifest), err == nil && !ok:
+			continue
+		case err != nil:
 			return nil, err
-		}
-		if err != nil || !ok {
-			continue // tolerate foreign or half-written files in the dir
 		}
 		ms = append(ms, m)
 	}
